@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/salus-sim/salus/internal/crash"
+	"github.com/salus-sim/salus/internal/link"
 )
 
 func TestCheckpointRecoverRoundTrip(t *testing.T) {
@@ -422,5 +423,72 @@ func TestSuspendResumeCarriesEpoch(t *testing.T) {
 	}
 	if _, err := Recover(salusCfg(4, 2), store2.Bytes(), root2); err != nil {
 		t.Fatalf("recover from post-resume journal: %v", err)
+	}
+}
+
+// TestCheckpointRefusedAtomicallyOnLinkLoss pins the atomic refusal: a
+// checkpoint that cannot reach the home tier — the link is down, or the
+// circuit breaker is open — returns the typed link error with the journal
+// and the epoch untouched, and the next checkpoint once the link is back
+// commits exactly the following epoch.
+func TestCheckpointRefusedAtomicallyOnLinkLoss(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  link.Config
+		want error
+	}{
+		{"down", link.Config{Threshold: 3, Cooldown: 2}, ErrLinkDown},
+		{"breaker-open", link.Config{Threshold: 1, Cooldown: 2}, ErrDegraded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSys(t, ModelSalus, 8, 2)
+			manual := link.NewManual()
+			s.AttachLink(link.New(manual, tc.cfg), nil, 4)
+			j := crash.NewJournal(crash.NewMemStore())
+			if err := s.Write(0, []byte("committed epoch")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Checkpoint(j); err != nil {
+				t.Fatal(err)
+			}
+			epoch, written := s.Epoch(), j.BytesWritten()
+			// Dirty two device-resident pages for the next epoch.
+			for _, addr := range []HomeAddr{0, 4096} {
+				if err := s.Write(addr, []byte("dirty since the commit")); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			refused := func(want error) {
+				t.Helper()
+				if _, err := s.Checkpoint(j); !errors.Is(err, want) {
+					t.Fatalf("checkpoint: got %v, want %v", err, want)
+				}
+				if s.Epoch() != epoch || j.BytesWritten() != written {
+					t.Fatalf("refused checkpoint moved state: epoch %d -> %d, journal %d -> %d bytes",
+						epoch, s.Epoch(), written, j.BytesWritten())
+				}
+			}
+			manual.Set(link.StateDown)
+			refused(ErrLinkDown)
+			manual.Set(link.StateUp)
+			if tc.want == ErrDegraded {
+				// The refusal opened the breaker: the plan is up again, but
+				// transfers fast-fail until the cooldown elapses.
+				for i := 0; i < tc.cfg.Cooldown; i++ {
+					refused(ErrDegraded)
+				}
+			}
+			root, err := s.Checkpoint(j)
+			if err != nil {
+				t.Fatalf("checkpoint with the link back: %v", err)
+			}
+			if root.Epoch != epoch+1 || s.Epoch() != epoch+1 {
+				t.Fatalf("committed epoch %d (system %d), want %d", root.Epoch, s.Epoch(), epoch+1)
+			}
+			if j.BytesWritten() <= written {
+				t.Fatal("committed checkpoint wrote nothing to the journal")
+			}
+		})
 	}
 }
