@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet fmt race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke bench-baseline bench-record bench-compare ci
+.PHONY: all build test lint vet fmt race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare bench-baseline bench-record bench-compare ci
 
 all: build test
 
@@ -116,6 +116,15 @@ tenant-smoke:
 migrate-smoke:
 	$(GO) run -race ./cmd/salus-check -migrate -seeds 6
 
+# golden-compare runs every salus-check campaign at a fixed-seed budget
+# and compares its output with cmd/salus-check/testdata/*.golden: the
+# replay modes byte for byte, the concurrent modes (serve, tenant,
+# migrate) on their summary line with the interleaving-dependent counters
+# masked. After an intended output change, regenerate the files with
+# `go test ./cmd/salus-check -run TestGolden -update` and review the diff.
+golden-compare:
+	$(GO) test ./cmd/salus-check -run '^TestGolden$$' -count=1
+
 # bench-baseline refreshes the checked-in perf baseline: the quick
 # variant of every salus-bench workload, in JSON, written to
 # BENCH_seed.json. Later PRs compare against it to hold the ROADMAP
@@ -143,4 +152,4 @@ bench-record:
 bench-compare:
 	$(GO) run ./cmd/salus-bench -perf -perf-compare BENCH_perf.json > bench-current.json
 
-ci: build lint test race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke bench-compare
+ci: build lint test race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare bench-compare
