@@ -1,8 +1,6 @@
 package check
 
 import (
-	"errors"
-
 	"github.com/salus-sim/salus/internal/fault"
 	"github.com/salus-sim/salus/internal/securemem"
 )
@@ -37,15 +35,12 @@ type FaultPlan struct {
 	// It widens the oracle as described above; a plan that injects poison
 	// without declaring it is itself caught as a Failure.
 	Unrecoverable bool
-	// Sink, when non-nil, receives each target's final op stats after a
-	// sequence replays clean, for campaign-level fault accounting.
-	Sink func(target string, st securemem.OpStats)
 }
 
 // ChaosConfig returns cfg armed with the standard chaos fault plan: a
 // seeded rate injector with burst-bounded transients that always fit the
 // retry budget, plus — when unrecoverable — rare uncorrectable media
-// errors on both tiers. GoTest emits reproducers in terms of this plan.
+// errors on both tiers. Reproducers are emitted in terms of this plan.
 func ChaosConfig(cfg Config, unrecoverable bool) Config {
 	rates := fault.Rates{Transient: 0.02}
 	if unrecoverable {
@@ -60,14 +55,8 @@ func ChaosConfig(cfg Config, unrecoverable bool) Config {
 	return cfg
 }
 
-// faultErr reports whether err is (or wraps) one of the typed fault
-// sentinels an armed target is allowed to surface.
-func faultErr(err error) bool {
-	return errors.Is(err, securemem.ErrTransient) || errors.Is(err, securemem.ErrPoison)
-}
-
 // faultStateReporter is the optional Target extension chaos mode uses to
-// assert quarantine semantics and to aggregate fault stats. Targets that
+// assert quarantine semantics and to sum fault stats into Result.Faults. Targets that
 // do not implement it (e.g. the plain oracle-like test targets) are held
 // to the plain byte-equivalence rules only.
 type faultStateReporter interface {

@@ -38,7 +38,7 @@ func TestSmokeBudgetClean(t *testing.T) {
 	res := Run(DefaultConfig())
 	if res.Failure != nil {
 		t.Fatalf("smoke budget failed:\n%s\n\nminimal reproducer:\n%s",
-			res.Failure, res.Failure.GoTest(DefaultConfig(), "smoke"))
+			res.Failure, res.Failure.Repro)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestGoTestRendering(t *testing.T) {
 		Target: "salus",
 		Reason: "example",
 	}
-	src := f.GoTest(cfg, "example")
+	src := cfg.replayer().goTest(f, "example")
 	for _, want := range []string{
 		"func TestCheckRegression_example(t *testing.T)",
 		"check.DefaultConfig()",

@@ -1,12 +1,9 @@
 package check
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 
-	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/crash"
 	"github.com/salus-sim/salus/internal/securemem"
 )
@@ -36,8 +33,8 @@ import (
 //   - recovering from the undamaged journal yields a system whose every
 //     byte reads back equal to the oracle as of the last commit.
 //
-// A violation shrinks (ShrinkCrash) to a minimal sequence and renders as a
-// regression test (CrashGoTest), like any other checker failure.
+// A violation shrinks to a minimal sequence and renders as a regression
+// test, like any other checker failure (see harness.go).
 
 // crashTarget names the implicit target of crash-mode failures; crash mode
 // is not differential across models — the journal is a ModelSalus feature.
@@ -45,21 +42,14 @@ const crashTarget = "salus-crash"
 
 // CrashPlan sizes a crash-recovery campaign.
 type CrashPlan struct {
-	Seeds     int   // seeds run by RunCrash
-	Ops       int   // operations per generated sequence (checkpoints included)
-	FirstSeed int64 // RunCrash covers [FirstSeed, FirstSeed+Seeds)
+	Campaign
+	Space
+	Ops int // operations per generated sequence (checkpoints included)
 
 	// CheckpointEvery replaces every CheckpointEvery-th generated op with
 	// an epoch checkpoint; a final checkpoint is always appended. <= 0
 	// means only the baseline and final checkpoints.
 	CheckpointEvery int
-
-	TotalPages  int // home (CXL) pages
-	DevicePages int // device frames; << TotalPages keeps migration pressure up
-	Geometry    config.Geometry
-
-	// Verbose, when non-nil, receives per-seed progress lines.
-	Verbose func(string)
 }
 
 // DefaultCrashPlan returns the smoke-budget crash campaign used by
@@ -69,28 +59,21 @@ type CrashPlan struct {
 // hundred recoveries per seed.
 func DefaultCrashPlan() CrashPlan {
 	return CrashPlan{
-		Seeds:           8,
+		Campaign:        Campaign{Seeds: 8, FirstSeed: 1},
+		Space:           smallSpace(8, 2),
 		Ops:             72,
-		FirstSeed:       1,
 		CheckpointEvery: 12,
-
-		TotalPages:  8,
-		DevicePages: 2,
-		Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
 	}
 }
 
-// size returns the home address-space size in bytes.
-func (p CrashPlan) size() uint64 { return uint64(p.TotalPages) * uint64(p.Geometry.PageSize) }
-
-// memConfig returns the securemem configuration of the checked system.
-func (p CrashPlan) memConfig() securemem.Config {
-	return securemem.Config{
-		Geometry:    p.Geometry,
-		Model:       securemem.ModelSalus,
-		TotalPages:  p.TotalPages,
-		DevicePages: p.DevicePages,
-	}
+// replayer is the crash mode's shrink and reproducer surface: the
+// reduction predicate is the full crash replay (golden run plus every
+// enumerated cut), so the minimal sequence still reaches the failing
+// crash point.
+func (p CrashPlan) replayer() replayer {
+	return replayer{name: "Crash", call: "check.ReplayCrashSequence(plan, seq)",
+		preamble: fmt.Sprintf("\tplan := check.DefaultCrashPlan()\n\tplan.TotalPages = %d\n\tplan.DevicePages = %d\n", p.TotalPages, p.DevicePages),
+		replay:   func(seq Sequence) *Failure { return ReplayCrashSequence(p, seq) }}
 }
 
 // CrashResult summarises a RunCrash campaign.
@@ -108,29 +91,19 @@ type CrashResult struct {
 // violation it shrinks the sequence to a minimal reproducer and stops.
 func RunCrash(plan CrashPlan) CrashResult {
 	var res CrashResult
-	for i := 0; i < plan.Seeds; i++ {
-		seed := plan.FirstSeed + int64(i)
+	plan.each(func(seed int64) (string, bool) {
 		seq := GenerateCrashSequence(plan, seed)
 		res.SeedsRun++
 		res.OpsRun += len(seq.Ops)
 		before := res
-		f := crashReplay(plan, seq, &res)
-		if f == nil {
-			if plan.Verbose != nil {
-				plan.Verbose(fmt.Sprintf("seed %d: %d ops, %d epochs, %d cuts (%d recovered, %d detected)",
-					seed, len(seq.Ops), res.Epochs-before.Epochs, res.Cuts-before.Cuts,
-					res.Recoveries-before.Recoveries, res.Detected-before.Detected))
-			}
-			continue
+		if f := crashReplay(plan, seq, &res); f != nil {
+			res.Failure = plan.replayer().minimize(f)
+			return res.Failure.String(), false
 		}
-		min := ShrinkCrash(plan, f.Seq)
-		// Re-replay the minimal sequence so the failure describes it.
-		if mf := ReplayCrashSequence(plan, min); mf != nil {
-			f = mf
-		}
-		res.Failure = f
-		return res
-	}
+		return fmt.Sprintf("%d ops, %d epochs, %d cuts (%d recovered, %d detected)",
+			len(seq.Ops), res.Epochs-before.Epochs, res.Cuts-before.Cuts,
+			res.Recoveries-before.Recoveries, res.Detected-before.Detected), true
+	})
 	return res
 }
 
@@ -138,90 +111,21 @@ func RunCrash(plan CrashPlan) CrashResult {
 // cut enumeration, rollback probe, and final plaintext sweep. It returns
 // the first contract violation or nil.
 func ReplayCrashSequence(plan CrashPlan, seq Sequence) *Failure {
-	var scratch CrashResult
-	return crashReplay(plan, seq, &scratch)
+	return crashReplay(plan, seq, &CrashResult{})
 }
 
 // GenerateCrashSequence produces the deterministic crash-mode workload for
-// one seed: the plain generator's address/length skew (chunk straddles,
-// sector alignment, migration pressure) over a Salus-only op set, with an
-// epoch checkpoint every plan.CheckpointEvery ops and one appended at the
-// end. Hostile probes are omitted — bounds behaviour is the plain
-// checker's job; crash mode wants maximal dirty-state churn between
-// commits.
+// one seed: the crash op mix (in-range, Salus-only, no hostile probes —
+// bounds behaviour is the plain checker's job), with an epoch checkpoint
+// every plan.CheckpointEvery ops and one appended at the end.
 func GenerateCrashSequence(plan CrashPlan, seed int64) Sequence {
-	rng := rand.New(rand.NewSource(seed))
-	g := plan.Geometry
-
-	genAddr := func() uint64 {
-		page := rng.Intn(plan.TotalPages)
-		var off int
-		switch rng.Intn(4) {
-		case 0: // a few bytes before a chunk boundary: forces a straddle
-			c := 1 + rng.Intn(g.ChunksPerPage()-1)
-			off = c*g.ChunkSize - (1 + rng.Intn(4))
-		case 1: // sector-aligned
-			off = rng.Intn(g.SectorsPerPage()) * g.SectorSize
-		case 2: // chunk-aligned
-			off = rng.Intn(g.ChunksPerPage()) * g.ChunkSize
-		default:
-			off = rng.Intn(g.PageSize)
-		}
-		return uint64(page*g.PageSize + off)
+	mix := crashMix
+	mix.epochEvery = plan.CheckpointEvery
+	seq := generate(seed, plan.Ops, plan.Space, mix)
+	if n := len(seq.Ops); n == 0 || seq.Ops[n-1].Kind != OpEpochCheckpoint {
+		seq.Ops = append(seq.Ops, Op{Kind: OpEpochCheckpoint})
 	}
-	genLen := func() int {
-		switch rng.Intn(6) {
-		case 0:
-			return 1 + rng.Intn(4)
-		case 1:
-			return g.SectorSize
-		case 2:
-			return g.SectorSize + 1
-		case 3:
-			return g.ChunkSize/2 + rng.Intn(g.ChunkSize)
-		default:
-			return 1 + rng.Intn(2*g.SectorSize)
-		}
-	}
-	clampLen := func(addr uint64, n int) int {
-		if max := plan.size() - addr; uint64(n) > max {
-			return int(max)
-		}
-		return n
-	}
-
-	ops := make([]Op, 0, plan.Ops+2)
-	var tag byte
-	for i := 0; i < plan.Ops; i++ {
-		if plan.CheckpointEvery > 0 && (i+1)%plan.CheckpointEvery == 0 {
-			ops = append(ops, Op{Kind: OpEpochCheckpoint})
-			continue
-		}
-		switch r := rng.Intn(100); {
-		case r < 34: // cached write: dirties device chunks
-			tag++
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpWrite, Addr: addr, Len: clampLen(addr, genLen()), Tag: tag})
-		case r < 50: // cached read: migration churn
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpRead, Addr: addr, Len: clampLen(addr, genLen())})
-		case r < 66: // direct CXL write: split-counter state
-			tag++
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpWriteThrough, Addr: addr, Len: clampLen(addr, genLen()), Tag: tag})
-		case r < 76: // direct CXL read
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpReadThrough, Addr: addr, Len: clampLen(addr, genLen())})
-		case r < 88: // chunk checkpoint: collapses split counters
-			ops = append(ops, Op{Kind: OpCheckpoint, Addr: genAddr()})
-		default: // flush: evicts everything, mass home mutation
-			ops = append(ops, Op{Kind: OpFlush})
-		}
-	}
-	if len(ops) == 0 || ops[len(ops)-1].Kind != OpEpochCheckpoint {
-		ops = append(ops, Op{Kind: OpEpochCheckpoint})
-	}
-	return Sequence{Seed: seed, Ops: ops}
+	return seq
 }
 
 // crashMark records everything the harness knows about one committed
@@ -231,7 +135,7 @@ type crashMark struct {
 	root   securemem.TrustedRoot
 	points int // tape.Points() when Checkpoint returned
 	digest [32]byte
-	oracle []byte
+	oracle *oracle
 }
 
 // crashReplay is the shared implementation behind RunCrash and
@@ -250,7 +154,7 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 	}
 	tape := &crash.Tape{}
 	j := crash.NewJournal(tape)
-	oracle := make([]byte, size)
+	o := newOracle(size)
 	var marks []crashMark
 
 	checkpoint := func() error {
@@ -258,23 +162,9 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 		if err != nil {
 			return err
 		}
-		marks = append(marks, crashMark{
-			root:   root,
-			points: tape.Points(),
-			digest: sys.StateDigest(),
-			oracle: append([]byte(nil), oracle...),
-		})
+		marks = append(marks, crashMark{root: root, points: tape.Points(), digest: sys.StateDigest(), oracle: o.clone()})
 		res.Epochs++
 		return nil
-	}
-	// Residency check mirroring the securemem through-path contract (and
-	// systemTarget.throughOK): degrade to the cached path when either end
-	// of the range is resident.
-	throughOK := func(addr uint64, n int) bool {
-		if sys.IsResident(securemem.HomeAddr(addr)) {
-			return false
-		}
-		return n == 0 || !sys.IsResident(securemem.HomeAddr(addr+uint64(n)-1))
 	}
 
 	// Baseline epoch: commit before any ops, so every crash point from the
@@ -284,46 +174,8 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 		return fail(-1, "", "baseline checkpoint: %v", err)
 	}
 
-	for i, op := range seq.Ops {
-		if op.Kind != OpFlush && op.Kind != OpEpochCheckpoint {
-			if op.Addr >= size || uint64(op.Len) > size-op.Addr {
-				return fail(i, "", "crash sequences must stay in range (addr %#x len %d, size %#x)", op.Addr, op.Len, size)
-			}
-		}
-		var err error
-		switch op.Kind {
-		case OpRead, OpReadThrough:
-			buf := make([]byte, op.Len)
-			if op.Kind == OpReadThrough && throughOK(op.Addr, op.Len) {
-				err = sys.ReadThrough(securemem.HomeAddr(op.Addr), buf)
-			} else {
-				err = sys.Read(securemem.HomeAddr(op.Addr), buf)
-			}
-			if err == nil && !bytes.Equal(buf, oracle[op.Addr:op.Addr+uint64(op.Len)]) {
-				return fail(i, "", "golden run diverged from the oracle")
-			}
-		case OpWrite, OpWriteThrough:
-			data := FillData(op.Tag, op.Len)
-			if op.Kind == OpWriteThrough && throughOK(op.Addr, op.Len) {
-				err = sys.WriteThrough(securemem.HomeAddr(op.Addr), data)
-			} else {
-				err = sys.Write(securemem.HomeAddr(op.Addr), data)
-			}
-			if err == nil {
-				copy(oracle[op.Addr:], data)
-			}
-		case OpCheckpoint:
-			err = sys.CheckpointChunk(securemem.HomeAddr(op.Addr))
-		case OpFlush:
-			err = sys.Flush()
-		case OpEpochCheckpoint:
-			err = checkpoint()
-		default:
-			return fail(i, "", "op kind %v not supported in crash replay", op.Kind)
-		}
-		if err != nil {
-			return fail(i, "", "golden run: %v", err)
-		}
+	if i, why := salusReplay(sys, seq, o, map[OpKind]func() error{OpEpochCheckpoint: checkpoint}, nil, nil); why != "" {
+		return fail(i, "", "golden run: %s", why)
 	}
 
 	// --- Exhaustive cut enumeration. ---
@@ -386,19 +238,10 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 	if err != nil {
 		return fail(len(seq.Ops), "final sweep", "undamaged journal failed to recover: %v", err)
 	}
-	stride := uint64(plan.Geometry.ChunkSize)
-	buf := make([]byte, stride)
-	for addr := uint64(0); addr < size; addr += stride {
-		if err := recSys.Read(securemem.HomeAddr(addr), buf); err != nil {
-			return fail(len(seq.Ops), "final sweep", "read at %#x after recovery: %v", addr, err)
-		}
-		if want := last.oracle[addr : addr+stride]; !bytes.Equal(buf, want) {
-			i := 0
-			for buf[i] == want[i] {
-				i++
-			}
-			return fail(len(seq.Ops), "final sweep", "%s", diffReason("recovered read", addr, i, buf, want))
-		}
+	if why := last.oracle.sweep(plan.Geometry.ChunkSize, "recovered read", func(off uint64, buf []byte) error {
+		return recSys.Read(securemem.HomeAddr(off), buf)
+	}); why != "" {
+		return fail(len(seq.Ops), "final sweep", "%s", why)
 	}
 	return nil
 }

@@ -120,11 +120,11 @@ func TestCrashGoTest(t *testing.T) {
 		Target: crashTarget,
 		Reason: "example",
 	}
-	src := f.GoTest(DefaultConfig(), "x")
+	src := DefaultConfig().replayer().goTest(f, "x")
 	if !strings.Contains(src, "check.ReplaySequence") {
 		t.Errorf("plain reproducer malformed:\n%s", src)
 	}
-	csrc := f.CrashGoTest(plan, "seed9")
+	csrc := plan.replayer().goTest(f, "seed9")
 	for _, want := range []string{
 		"TestCrashRegression_seed9",
 		"check.DefaultCrashPlan()",

@@ -3,10 +3,7 @@ package check
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"strings"
 
-	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/link"
 	"github.com/salus-sim/salus/internal/securemem"
 )
@@ -31,8 +28,8 @@ import (
 //     is detected as ErrFreshness when the queue drains — the outage is
 //     never an integrity holiday.
 //
-// A violation shrinks (ShrinkLink) to a minimal sequence and renders as a
-// regression test (LinkGoTest), like any other checker failure.
+// A violation shrinks to a minimal sequence and renders as a regression
+// test, like any other checker failure (see harness.go).
 
 // NamedLinkPlan pairs a link.ParsePlan spec with a campaign-stable name
 // used in failure reports and reproducers.
@@ -45,13 +42,9 @@ type NamedLinkPlan struct {
 // in Plans; rate plans are reseeded per sequence so shrunk reproducers
 // replay the same flap schedule.
 type LinkPlan struct {
-	Seeds     int   // seeds run by RunLink
-	Ops       int   // operations per generated sequence
-	FirstSeed int64 // RunLink covers [FirstSeed, FirstSeed+Seeds)
-
-	TotalPages  int // home (CXL) pages
-	DevicePages int // device frames; << TotalPages keeps eviction pressure up
-	Geometry    config.Geometry
+	Campaign
+	Space
+	Ops int // operations per generated sequence
 
 	// QueueCap bounds the dirty-writeback queue; <= 0 selects
 	// securemem.DefaultWritebackQueueCap. The default campaign keeps it
@@ -60,9 +53,6 @@ type LinkPlan struct {
 
 	// Plans are the link schedules each seed replays under.
 	Plans []NamedLinkPlan
-
-	// Verbose, when non-nil, receives per-seed progress lines.
-	Verbose func(string)
 }
 
 // DefaultLinkPlan returns the smoke-budget link campaign used by
@@ -74,14 +64,9 @@ type LinkPlan struct {
 // the first few dozen operations of every sequence.
 func DefaultLinkPlan() LinkPlan {
 	return LinkPlan{
-		Seeds:     12,
-		Ops:       120,
-		FirstSeed: 1,
-
-		TotalPages:  8,
-		DevicePages: 2,
-		Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
-
+		Campaign: Campaign{Seeds: 12, FirstSeed: 1},
+		Space:    smallSpace(8, 2),
+		Ops:      120,
 		QueueCap: 2,
 		Plans: []NamedLinkPlan{
 			{Name: "flap-short", Spec: "down@40..70,down@300..340,down@800..860"},
@@ -92,17 +77,15 @@ func DefaultLinkPlan() LinkPlan {
 	}
 }
 
-// size returns the home address-space size in bytes.
-func (p LinkPlan) size() uint64 { return uint64(p.TotalPages) * uint64(p.Geometry.PageSize) }
-
-// memConfig returns the securemem configuration of the checked system.
-func (p LinkPlan) memConfig() securemem.Config {
-	return securemem.Config{
-		Geometry:    p.Geometry,
-		Model:       securemem.ModelSalus,
-		TotalPages:  p.TotalPages,
-		DevicePages: p.DevicePages,
-	}
+// replayer is the link mode's shrink and reproducer surface for one named
+// plan: the reduction predicate is the full link replay under that plan,
+// so the minimal sequence still reaches the failing outage window.
+func (p LinkPlan) replayer(np NamedLinkPlan) replayer {
+	return replayer{name: "Link", call: "check.ReplayLinkSequence(plan, np, seq)",
+		preamble: fmt.Sprintf("\tplan := check.DefaultLinkPlan()\n\tplan.TotalPages = %d\n\tplan.DevicePages = %d\n"+
+			"\tplan.QueueCap = %d\n\tnp := check.NamedLinkPlan{Name: %q, Spec: %q}\n",
+			p.TotalPages, p.DevicePages, p.QueueCap, np.Name, np.Spec),
+		replay: func(seq Sequence) *Failure { return ReplayLinkSequence(p, np, seq) }}
 }
 
 // LinkResult summarises a RunLink campaign.
@@ -138,138 +121,40 @@ type LinkResult struct {
 // the same link plan and stops.
 func RunLink(plan LinkPlan) LinkResult {
 	var res LinkResult
-	for i := 0; i < plan.Seeds; i++ {
-		seed := plan.FirstSeed + int64(i)
+	plan.each(func(seed int64) (string, bool) {
 		seq := GenerateLinkSequence(plan, seed)
 		res.SeedsRun++
+		before := res
 		for _, np := range plan.Plans {
 			res.OpsRun += len(seq.Ops)
-			before := res
-			f := linkReplay(plan, np, seq, &res)
-			if f == nil {
-				res.PlansRun++
-				if plan.Verbose != nil {
-					plan.Verbose(fmt.Sprintf("seed %d, plan %s: %d ops clean (%d refused typed, %d queued, %d drained)",
-						seed, np.Name, len(seq.Ops),
-						res.OpsRefused-before.OpsRefused, res.Queued-before.Queued, res.Drained-before.Drained))
-				}
-				continue
+			if f := linkReplay(plan, np, seq, &res); f != nil {
+				res.Failure = plan.replayer(np).minimize(f)
+				return res.Failure.String(), false
 			}
-			min := ShrinkLink(plan, np, f.Seq)
-			// Re-replay the minimal sequence so the failure describes it.
-			if mf := ReplayLinkSequence(plan, np, min); mf != nil {
-				f = mf
-			}
-			res.Failure = f
-			return res
+			res.PlansRun++
 		}
-		if f := linkRollbackProbe(plan, seed); f != nil {
-			res.Failure = f
-			return res
+		if res.Failure = linkRollbackProbe(plan, seed); res.Failure != nil {
+			return res.Failure.String(), false
 		}
 		res.RollbackProbes++
-	}
+		return fmt.Sprintf("%d plans × %d ops clean (%d refused typed, %d queued, %d drained)",
+			len(plan.Plans), len(seq.Ops), res.OpsRefused-before.OpsRefused,
+			res.Queued-before.Queued, res.Drained-before.Drained), true
+	})
 	return res
 }
 
 // ReplayLinkSequence replays one sequence under one named link plan,
 // returning the first contract violation or nil.
 func ReplayLinkSequence(plan LinkPlan, np NamedLinkPlan, seq Sequence) *Failure {
-	var scratch LinkResult
-	return linkReplay(plan, np, seq, &scratch)
-}
-
-// ShrinkLink is Shrink for link-mode sequences: the reduction predicate is
-// the full link replay under the same named plan, so the minimal sequence
-// still reaches the failing outage window.
-func ShrinkLink(plan LinkPlan, np NamedLinkPlan, seq Sequence) Sequence {
-	return shrinkOps(seq, func(ops []Op) *Failure {
-		return ReplayLinkSequence(plan, np, Sequence{Seed: seq.Seed, Ops: ops})
-	})
+	return linkReplay(plan, np, seq, &LinkResult{})
 }
 
 // GenerateLinkSequence produces the deterministic link-mode workload for
-// one seed: the plain generator's address/length skew over an in-range
-// Salus op set, heavy on writes and flushes (parking pressure) with
-// periodic drains so recovery interleaves with the outage schedule.
-// Hostile probes are omitted — bounds behaviour is the plain checker's
-// job; link mode wants maximal home-tier traffic.
+// one seed: the link op mix (in-range, Salus-only, no hostile probes —
+// bounds behaviour is the plain checker's job).
 func GenerateLinkSequence(plan LinkPlan, seed int64) Sequence {
-	rng := rand.New(rand.NewSource(seed))
-	g := plan.Geometry
-
-	genAddr := func() uint64 {
-		page := rng.Intn(plan.TotalPages)
-		var off int
-		switch rng.Intn(4) {
-		case 0: // a few bytes before a chunk boundary: forces a straddle
-			c := 1 + rng.Intn(g.ChunksPerPage()-1)
-			off = c*g.ChunkSize - (1 + rng.Intn(4))
-		case 1: // sector-aligned
-			off = rng.Intn(g.SectorsPerPage()) * g.SectorSize
-		case 2: // chunk-aligned
-			off = rng.Intn(g.ChunksPerPage()) * g.ChunkSize
-		default:
-			off = rng.Intn(g.PageSize)
-		}
-		return uint64(page*g.PageSize + off)
-	}
-	genLen := func() int {
-		switch rng.Intn(6) {
-		case 0:
-			return 1 + rng.Intn(4)
-		case 1:
-			return g.SectorSize
-		case 2:
-			return g.SectorSize + 1
-		case 3:
-			return g.ChunkSize/2 + rng.Intn(g.ChunkSize)
-		default:
-			return 1 + rng.Intn(2*g.SectorSize)
-		}
-	}
-	clampLen := func(addr uint64, n int) int {
-		if max := plan.size() - addr; uint64(n) > max {
-			return int(max)
-		}
-		return n
-	}
-
-	ops := make([]Op, 0, plan.Ops)
-	var tag byte
-	for i := 0; i < plan.Ops; i++ {
-		switch r := rng.Intn(100); {
-		case r < 30: // cached write: dirties device chunks, arms parking
-			tag++
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpWrite, Addr: addr, Len: clampLen(addr, genLen()), Tag: tag})
-		case r < 52: // cached read: migration churn across the link
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpRead, Addr: addr, Len: clampLen(addr, genLen())})
-		case r < 66: // direct CXL write
-			tag++
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpWriteThrough, Addr: addr, Len: clampLen(addr, genLen()), Tag: tag})
-		case r < 76: // direct CXL read
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpReadThrough, Addr: addr, Len: clampLen(addr, genLen())})
-		case r < 84: // chunk checkpoint: collapse traffic over the link
-			ops = append(ops, Op{Kind: OpCheckpoint, Addr: genAddr()})
-		case r < 94: // flush: mass eviction, the main parking source
-			ops = append(ops, Op{Kind: OpFlush})
-		default: // reconciler drain, possibly mid-outage
-			ops = append(ops, Op{Kind: OpDrainWritebacks})
-		}
-	}
-	return Sequence{Seed: seed, Ops: ops}
-}
-
-// linkErr reports whether err is (or wraps) one of the typed link-
-// degradation sentinels an outage is allowed to surface.
-func linkErr(err error) bool {
-	return errors.Is(err, securemem.ErrLinkDown) ||
-		errors.Is(err, securemem.ErrDegraded) ||
-		errors.Is(err, securemem.ErrQueueFull)
+	return generate(seed, plan.Ops, plan.Space, linkMix)
 }
 
 // newSeqLink builds the link for one (sequence, plan) replay. Rate plans
@@ -308,27 +193,7 @@ func linkReplay(plan LinkPlan, np NamedLinkPlan, seq Sequence, res *LinkResult) 
 	sys.AttachLink(lnk, nil, plan.QueueCap)
 
 	size := plan.size()
-	oracle := make([]byte, size)
-	taint := make([]bool, size)
-	setTaint := func(addr uint64, n int, v bool) {
-		for i := uint64(0); i < uint64(n); i++ {
-			taint[addr+i] = v
-		}
-	}
-	mismatch := func(addr uint64, got, want []byte) int {
-		for i := range got {
-			if got[i] != want[i] && !taint[addr+uint64(i)] {
-				return i
-			}
-		}
-		return -1
-	}
-	throughOK := func(addr uint64, n int) bool {
-		if sys.IsResident(securemem.HomeAddr(addr)) {
-			return false
-		}
-		return n == 0 || !sys.IsResident(securemem.HomeAddr(addr+uint64(n)-1))
-	}
+	o := newOracle(size)
 
 	// enqueueIdx records, FIFO, the op index at which each parked
 	// writeback was queued; drains pop it to measure queue age in ops.
@@ -350,68 +215,16 @@ func linkReplay(plan LinkPlan, np NamedLinkPlan, seq Sequence, res *LinkResult) 
 		res.DepthSamples++
 	}
 
-	for i, op := range seq.Ops {
-		if op.Kind != OpFlush && op.Kind != OpDrainWritebacks {
-			if op.Addr >= size || uint64(op.Len) > size-op.Addr {
-				return fail(i, "link sequences must stay in range (addr %#x len %d, size %#x)", op.Addr, op.Len, size)
-			}
-		}
-		var buf []byte
-		var err error
-		switch op.Kind {
-		case OpRead, OpReadThrough:
-			buf = make([]byte, op.Len)
-			err = safely(func() error {
-				if op.Kind == OpReadThrough && throughOK(op.Addr, op.Len) {
-					return sys.ReadThrough(securemem.HomeAddr(op.Addr), buf)
-				}
-				return sys.Read(securemem.HomeAddr(op.Addr), buf)
-			})
-		case OpWrite, OpWriteThrough:
-			data := FillData(op.Tag, op.Len)
-			err = safely(func() error {
-				if op.Kind == OpWriteThrough && throughOK(op.Addr, op.Len) {
-					return sys.WriteThrough(securemem.HomeAddr(op.Addr), data)
-				}
-				return sys.Write(securemem.HomeAddr(op.Addr), data)
-			})
-			if err == nil {
-				copy(oracle[op.Addr:], data)
-				setTaint(op.Addr, op.Len, false)
-			} else {
-				// The write may have landed partially before the link
-				// refused; exclude its range from comparison until a later
-				// write covers it.
-				setTaint(op.Addr, op.Len, true)
-			}
-		case OpCheckpoint:
-			err = safely(func() error { return sys.CheckpointChunk(securemem.HomeAddr(op.Addr)) })
-		case OpFlush:
-			err = safely(sys.Flush)
-		case OpDrainWritebacks:
-			err = safely(func() error { _, derr := sys.DrainWritebacks(); return derr })
-		default:
-			return fail(i, "op kind %v not supported in link replay", op.Kind)
-		}
-
-		if pe, ok := err.(*panicError); ok {
-			return fail(i, "%v", pe)
-		}
+	drain := func() error { _, err := sys.DrainWritebacks(); return err }
+	if i, why := salusReplay(sys, seq, o, map[OpKind]func() error{OpDrainWritebacks: drain}, linkErrs, func(i int, err error) {
 		if err != nil {
-			if !linkErr(err) {
-				return fail(i, "in-range operation failed with a non-link error: %v", err)
-			}
 			res.OpsRefused++
 		} else {
 			res.OpsOK++
-			if op.Kind == OpRead || op.Kind == OpReadThrough {
-				want := oracle[op.Addr : op.Addr+uint64(op.Len)]
-				if d := mismatch(op.Addr, buf, want); d >= 0 {
-					return fail(i, "%s", diffReason("read", op.Addr, d, buf, want))
-				}
-			}
 		}
 		account(i)
+	}); why != "" {
+		return fail(i, "%s", why)
 	}
 
 	// --- Recovery: force the link up, drain, flush. From here on every
@@ -442,15 +255,10 @@ func linkReplay(plan LinkPlan, np NamedLinkPlan, seq Sequence, res *LinkResult) 
 
 	// --- Final sweep: byte-identical to the no-outage golden run, modulo
 	// ranges tainted by link-failed writes. ---
-	stride := uint64(plan.Geometry.ChunkSize)
-	buf := make([]byte, stride)
-	for addr := uint64(0); addr < size; addr += stride {
-		if err := sys.Read(securemem.HomeAddr(addr), buf); err != nil {
-			return fail(len(seq.Ops), "final sweep read at %#x: %v", addr, err)
-		}
-		if d := mismatch(addr, buf, oracle[addr:addr+stride]); d >= 0 {
-			return fail(len(seq.Ops), "%s", diffReason("post-drain read", addr, d, buf, oracle[addr:addr+stride]))
-		}
+	if why := o.sweep(plan.Geometry.ChunkSize, "post-drain read", func(off uint64, buf []byte) error {
+		return sys.Read(securemem.HomeAddr(off), buf)
+	}); why != "" {
+		return fail(len(seq.Ops), "%s", why)
 	}
 
 	lst := lnk.Stats()
@@ -460,9 +268,7 @@ func linkReplay(plan LinkPlan, np NamedLinkPlan, seq Sequence, res *LinkResult) 
 	res.Queued += st.WritebacksQueued
 	res.Drained += st.WritebacksDrained
 	res.Dropped += st.WritebacksDropped
-	if st.WritebackQueuePeak > res.QueuePeak {
-		res.QueuePeak = st.WritebackQueuePeak
-	}
+	res.QueuePeak = max(res.QueuePeak, st.WritebackQueuePeak)
 	return nil
 }
 
@@ -529,27 +335,4 @@ func linkRollbackProbe(plan LinkPlan, seed int64) *Failure {
 		return fail("rollback drain freed the parked writeback anyway")
 	}
 	return nil
-}
-
-// LinkGoTest renders the failure's (shrunk) link-mode sequence as a
-// runnable Go regression test replaying it under plan's sizing and the
-// named link plan that exposed it.
-func (f *Failure) LinkGoTest(plan LinkPlan, np NamedLinkPlan, name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "// Regression test emitted by the salus-check link shrinker.\n")
-	fmt.Fprintf(&b, "// Original failure: %s\n", f)
-	fmt.Fprintf(&b, "func TestLinkRegression_%s(t *testing.T) {\n", name)
-	b.WriteString("\tplan := check.DefaultLinkPlan()\n")
-	fmt.Fprintf(&b, "\tplan.TotalPages = %d\n", plan.TotalPages)
-	fmt.Fprintf(&b, "\tplan.DevicePages = %d\n", plan.DevicePages)
-	fmt.Fprintf(&b, "\tplan.QueueCap = %d\n", plan.QueueCap)
-	fmt.Fprintf(&b, "\tnp := check.NamedLinkPlan{Name: %q, Spec: %q}\n", np.Name, np.Spec)
-	fmt.Fprintf(&b, "\tseq := check.Sequence{Seed: %d, Ops: []check.Op{\n", f.Seq.Seed)
-	writeOps(&b, f.Seq.Ops)
-	b.WriteString("\t}}\n")
-	b.WriteString("\tif f := check.ReplayLinkSequence(plan, np, seq); f != nil {\n")
-	b.WriteString("\t\tt.Fatalf(\"regression reproduced: %v\", f)\n")
-	b.WriteString("\t}\n")
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -122,7 +122,7 @@ func TestLinkGoTestRendering(t *testing.T) {
 		Target: "salus-link/" + np.Name,
 		Reason: "synthetic",
 	}
-	src := f.LinkGoTest(plan, np, "seed9")
+	src := plan.replayer(np).goTest(f, "seed9")
 	for _, want := range []string{
 		"func TestLinkRegression_seed9(t *testing.T)",
 		"check.DefaultLinkPlan()",

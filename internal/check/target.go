@@ -56,12 +56,9 @@ type systemTarget struct {
 // NewSystemTarget builds a securemem-backed target for one model,
 // fault-armed when cfg carries a FaultPlan.
 func NewSystemTarget(cfg Config, model securemem.Model) (Target, error) {
-	sys, err := securemem.New(securemem.Config{
-		Geometry:    cfg.Geometry,
-		Model:       model,
-		TotalPages:  cfg.TotalPages,
-		DevicePages: cfg.DevicePages,
-	})
+	mc := cfg.memConfig()
+	mc.Model = model
+	sys, err := securemem.New(mc)
 	if err != nil {
 		return nil, err
 	}
@@ -84,17 +81,87 @@ func (t *systemTarget) Write(addr uint64, data []byte) error {
 	return t.sys.Write(securemem.HomeAddr(addr), data)
 }
 
-// throughOK reports whether the direct CXL path applies: ModelSalus and no
-// end of the range resident (ranges are < 2 pages, so the ends suffice —
-// the same rule securemem itself enforces).
+// throughOK reports whether the direct CXL path applies to a range of a
+// ModelSalus system: no end of it resident (ranges are < 2 pages, so the
+// ends suffice — the same rule securemem itself enforces).
+func throughOK(sys *securemem.System, addr uint64, n int) bool {
+	if sys.IsResident(securemem.HomeAddr(addr)) {
+		return false
+	}
+	return n == 0 || !sys.IsResident(securemem.HomeAddr(addr+uint64(n)-1))
+}
+
+// sysOp runs one read, write, chunk-checkpoint or flush op on a ModelSalus
+// system, degrading a through-op to the cached path where throughOK does
+// not hold. It returns the bytes read or written.
+func sysOp(sys *securemem.System, op Op) ([]byte, error) {
+	a := securemem.HomeAddr(op.Addr)
+	through := (op.Kind == OpReadThrough || op.Kind == OpWriteThrough) && throughOK(sys, op.Addr, op.Len)
+	switch op.Kind {
+	case OpRead, OpReadThrough:
+		buf := make([]byte, op.Len)
+		if through {
+			return buf, sys.ReadThrough(a, buf)
+		}
+		return buf, sys.Read(a, buf)
+	case OpWrite, OpWriteThrough:
+		data := FillData(op.Tag, op.Len)
+		if through {
+			return data, sys.WriteThrough(a, data)
+		}
+		return data, sys.Write(a, data)
+	case OpCheckpoint:
+		return nil, sys.CheckpointChunk(a)
+	case OpFlush:
+		return nil, sys.Flush()
+	}
+	return nil, fmt.Errorf("op kind %v not supported", op.Kind)
+}
+
+// salusReplay is the op loop of the single-system replay modes (crash,
+// link): it runs seq on sys, checking every read against o. own runs
+// the mode's own op kinds (epoch checkpoints, writeback drains). An error
+// in refusals is a typed refusal — a refused write taints its range, as
+// it may have landed partially — and any other error is a violation.
+// after sees every op's outcome. On a violation it returns the op index
+// and the reason.
+func salusReplay(sys *securemem.System, seq Sequence, o *oracle, own map[OpKind]func() error, refusals errSet,
+	after func(i int, err error)) (int, string) {
+	size := uint64(len(o.want))
+	for i, op := range seq.Ops {
+		if outOfRange(op, size) {
+			return i, fmt.Sprintf("sequences must stay in range (addr %#x len %d, size %#x)", op.Addr, op.Len, size)
+		}
+		var buf []byte
+		err := safely(func() (err error) {
+			if f := own[op.Kind]; f != nil {
+				return f()
+			}
+			buf, err = sysOp(sys, op)
+			return err
+		})
+		write := op.Kind == OpWrite || op.Kind == OpWriteThrough
+		switch {
+		case err != nil && !refusals.has(err):
+			return i, fmt.Sprintf("operation failed: %v", err)
+		case err != nil && write:
+			o.failed(op.Addr, op.Len)
+		case err == nil && write:
+			o.write(op.Addr, buf)
+		case err == nil:
+			if d := o.diff(op.Addr, buf); d >= 0 {
+				return i, diffReason("read", op.Addr, d, buf, o.want[op.Addr:])
+			}
+		}
+		if after != nil {
+			after(i, err)
+		}
+	}
+	return 0, ""
+}
+
 func (t *systemTarget) throughOK(addr uint64, n int) bool {
-	if t.model != securemem.ModelSalus {
-		return false
-	}
-	if t.sys.IsResident(securemem.HomeAddr(addr)) {
-		return false
-	}
-	return n == 0 || !t.sys.IsResident(securemem.HomeAddr(addr+uint64(n)-1))
+	return t.model == securemem.ModelSalus && throughOK(t.sys, addr, n)
 }
 
 func (t *systemTarget) ReadThrough(addr uint64, buf []byte) error {
@@ -159,12 +226,7 @@ func (t *systemTarget) SuspendResume() error {
 	if err != nil {
 		return fmt.Errorf("suspend: %w", err)
 	}
-	resumed, err := securemem.Resume(securemem.Config{
-		Geometry:    t.cfg.Geometry,
-		Model:       t.model,
-		TotalPages:  t.cfg.TotalPages,
-		DevicePages: t.cfg.DevicePages,
-	}, image, root)
+	resumed, err := securemem.Resume(t.cfg.memConfig(), image, root)
 	if err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}

@@ -189,6 +189,24 @@ type OpStats struct {
 	CheckpointCycles     uint64 // simulated cycles charged to checkpointing
 }
 
+// AddFaults sums o's hardware fault accounting (TransientFaults through
+// PoisonSkippedRelocations) into s — a campaign's fault total across
+// many systems. Other counters are left alone: peaks and per-system
+// tier state do not sum meaningfully.
+func (s *OpStats) AddFaults(o OpStats) {
+	s.TransientFaults += o.TransientFaults
+	s.PoisonFaults += o.PoisonFaults
+	s.StuckBitFaults += o.StuckBitFaults
+	s.Retries += o.Retries
+	s.RetryBackoffCycles += o.RetryBackoffCycles
+	s.TransparentRecoveries += o.TransparentRecoveries
+	s.FramesQuarantined += o.FramesQuarantined
+	s.ChunksPoisoned += o.ChunksPoisoned
+	s.PagesPinned += o.PagesPinned
+	s.PoisonPageDrops += o.PoisonPageDrops
+	s.PoisonSkippedRelocations += o.PoisonSkippedRelocations
+}
+
 // frame describes one device-tier page frame.
 type frame struct {
 	homePage    int // index of the resident page, -1 when free

@@ -3,6 +3,7 @@ package securemem
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/salus-sim/salus/internal/config"
@@ -545,5 +546,30 @@ func TestConventionalMinorOverflow(t *testing.T) {
 	}
 	if string(got[:32]) != "data in the same counter region!" {
 		t.Errorf("region neighbour corrupted: %q", got)
+	}
+}
+
+// TestOpStatsAddFaultsSumsFaultBlock sets every counter of two OpStats and
+// checks AddFaults sums exactly the fault block, TransientFaults through
+// PoisonSkippedRelocations, and leaves every other counter alone.
+func TestOpStatsAddFaultsSumsFaultBlock(t *testing.T) {
+	var dst, src OpStats
+	dv, sv := reflect.ValueOf(&dst).Elem(), reflect.ValueOf(&src).Elem()
+	for i := 0; i < dv.NumField(); i++ {
+		dv.Field(i).SetUint(100 + uint64(i))
+		sv.Field(i).SetUint(1000 + uint64(i))
+	}
+	typ := dv.Type()
+	first, _ := typ.FieldByName("TransientFaults")
+	last, _ := typ.FieldByName("PoisonSkippedRelocations")
+	dst.AddFaults(src)
+	for i := 0; i < dv.NumField(); i++ {
+		want := 100 + uint64(i)
+		if i >= first.Index[0] && i <= last.Index[0] {
+			want += 1000 + uint64(i)
+		}
+		if got := dv.Field(i).Uint(); got != want {
+			t.Errorf("%s = %d after AddFaults, want %d", typ.Field(i).Name, got, want)
+		}
 	}
 }

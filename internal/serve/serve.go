@@ -682,15 +682,7 @@ func (r *Report) Merge(o *Report) {
 				r.Tenants = append(r.Tenants, t)
 				continue
 			}
-			a := &r.Tenants[i]
-			a.Reads += t.Reads
-			a.Writes += t.Writes
-			a.Denied += t.Denied
-			a.Quota += t.Quota
-			a.Integrity += t.Integrity
-			a.Faults += t.Faults
-			a.Checkpoints += t.Checkpoints
-			a.Recovers += t.Recovers
+			r.Tenants[i].Add(t)
 		}
 		sort.Slice(r.Tenants, func(i, j int) bool { return r.Tenants[i].Name < r.Tenants[j].Name })
 	}

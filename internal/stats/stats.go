@@ -144,6 +144,18 @@ func (t *TenantOps) Attempts() uint64 {
 	return t.Reads + t.Writes + t.Denied + t.Quota
 }
 
+// Add sums o's counters into t; the name is the caller's.
+func (t *TenantOps) Add(o TenantOps) {
+	t.Reads += o.Reads
+	t.Writes += o.Writes
+	t.Denied += o.Denied
+	t.Quota += o.Quota
+	t.Integrity += o.Integrity
+	t.Faults += o.Faults
+	t.Checkpoints += o.Checkpoints
+	t.Recovers += o.Recovers
+}
+
 // HasTenants reports whether any per-tenant activity was recorded.
 // Mirroring HasFaults' discipline, every field participates so a tenant
 // whose only activity is a trailing category still renders its row.
@@ -202,6 +214,20 @@ type MigrateOps struct {
 	Replay uint64 // records rejected ErrReplay (reorder, duplication)
 	Attest uint64 // records rejected ErrAttestation (MAC/handshake forgery)
 	Fresh  uint64 // records rejected ErrFreshness (epoch/lineage rollback)
+}
+
+// Add sums o's counters into m; the tenant name is the caller's.
+func (m *MigrateOps) Add(o MigrateOps) {
+	m.Rounds += o.Rounds
+	m.ChunksSent += o.ChunksSent
+	m.ChunksSkipped += o.ChunksSkipped
+	m.BytesStreamed += o.BytesStreamed
+	m.Retries += o.Retries
+	m.Resumes += o.Resumes
+	m.Torn += o.Torn
+	m.Replay += o.Replay
+	m.Attest += o.Attest
+	m.Fresh += o.Fresh
 }
 
 // HasMigrates reports whether any migration activity was recorded.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -414,5 +415,62 @@ func TestMigrateTableRaggedInput(t *testing.T) {
 	r := Run{Ops: Ops{Migrates: []MigrateOps{{Tenant: "m", Rounds: 3, BytesStreamed: 77}}}}
 	if s := r.String(); !strings.Contains(s, "migrate tenant=m rounds=3 sent=0 skipped=0 bytes=77") {
 		t.Fatalf("Run summary missing migrate line:\n%s", s)
+	}
+}
+
+// fillCounters sets every uint64 field of the struct v points to, the
+// i-th to base+i, and returns how many it set.
+func fillCounters(v any, base uint64) int {
+	rv := reflect.ValueOf(v).Elem()
+	n := 0
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(base + uint64(i))
+			n++
+		}
+	}
+	return n
+}
+
+// assertSummed checks that every uint64 field of got equals the sum
+// fillCounters(base a) + fillCounters(base b) put in, so a counter added to
+// the struct but not to Add fails here.
+func assertSummed(t *testing.T, got any, a, b uint64) {
+	t.Helper()
+	rv := reflect.ValueOf(got).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		if f.Kind() != reflect.Uint64 {
+			continue
+		}
+		if want := a + b + 2*uint64(i); f.Uint() != want {
+			t.Errorf("%s = %d after Add, want %d", rv.Type().Field(i).Name, f.Uint(), want)
+		}
+	}
+}
+
+func TestTenantOpsAddSumsEveryCounter(t *testing.T) {
+	var dst, src TenantOps
+	if fillCounters(&dst, 100) == 0 || fillCounters(&src, 1000) == 0 {
+		t.Fatal("TenantOps has no counters")
+	}
+	dst.Name, src.Name = "dst", "src"
+	dst.Add(src)
+	assertSummed(t, &dst, 100, 1000)
+	if dst.Name != "dst" {
+		t.Errorf("Add overwrote the name: %q", dst.Name)
+	}
+}
+
+func TestMigrateOpsAddSumsEveryCounter(t *testing.T) {
+	var dst, src MigrateOps
+	if fillCounters(&dst, 100) == 0 || fillCounters(&src, 1000) == 0 {
+		t.Fatal("MigrateOps has no counters")
+	}
+	dst.Tenant, src.Tenant = "dst", "src"
+	dst.Add(src)
+	assertSummed(t, &dst, 100, 1000)
+	if dst.Tenant != "dst" {
+		t.Errorf("Add overwrote the tenant: %q", dst.Tenant)
 	}
 }
