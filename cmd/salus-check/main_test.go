@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"testing"
+
+	"github.com/salus-sim/salus/internal/check"
 )
 
 func TestCleanRunExitsZero(t *testing.T) {
@@ -180,5 +183,32 @@ func TestParseModels(t *testing.T) {
 	}
 	if _, err := parseModels("bogus"); err == nil {
 		t.Error("parseModels accepted an unknown model")
+	}
+}
+
+// TestProbeFailurePrintsRerun: a replay-mode failure that carries no
+// shrunk reproducer (the link rollback probe) is reported as the command
+// that reruns its seed, not as an empty regression-test block.
+func TestProbeFailurePrintsRerun(t *testing.T) {
+	var out bytes.Buffer
+	fs := flag.NewFlagSet("salus-check", flag.ContinueOnError)
+	fs.Bool("link", false, "")
+	fs.Int("ops", 0, "")
+	fs.Int64("seed", 0, "")
+	if err := fs.Parse([]string{"-link", "-ops", "50", "-seed", "9"}); err != nil {
+		t.Fatal(err)
+	}
+	o := &opts{fs: fs, stdout: &out}
+	f := &check.Failure{Seq: check.Sequence{Seed: 9}, OpIdx: -1, Target: "salus-link/rollback-probe",
+		Loc: "rollback probe", Reason: "drain accepted a rolled-back page"}
+	if code := o.replayFailure("link ", f); code != 1 {
+		t.Fatalf("exit code %d, want 1", code)
+	}
+	got := out.String()
+	if !strings.Contains(got, "reproduce: salus-check -link -ops 50 -seed 9 -seeds 1\n") {
+		t.Errorf("missing rerun command:\n%s", got)
+	}
+	if strings.Contains(got, "regression test") {
+		t.Errorf("probe failure printed an empty regression-test block:\n%s", got)
 	}
 }
