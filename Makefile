@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet fmt race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare bench-baseline bench-record bench-compare ci
+.PHONY: all build test lint vet fmt race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare ladderbench-build bench-baseline bench-record bench-compare ci
 
 all: build test
 
@@ -125,6 +125,13 @@ migrate-smoke:
 golden-compare:
 	$(GO) test ./cmd/salus-check -run '^TestGolden$$' -count=1
 
+# ladderbench-build vets and tests the benchmark harness in _ladderbench/.
+# It is a module of its own, so the root `go build ./...` skips it; this
+# target makes a refactor that breaks the harness's build fail here rather
+# than only in the benchmark pipeline.
+ladderbench-build:
+	$(GO) -C _ladderbench vet ./... && $(GO) -C _ladderbench test ./...
+
 # bench-baseline refreshes the checked-in perf baseline: the quick
 # variant of every salus-bench workload, in JSON, written to
 # BENCH_seed.json. Later PRs compare against it to hold the ROADMAP
@@ -152,4 +159,4 @@ bench-record:
 bench-compare:
 	$(GO) run ./cmd/salus-bench -perf -perf-compare BENCH_perf.json > bench-current.json
 
-ci: build lint test race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare bench-compare
+ci: build lint test race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare ladderbench-build bench-compare

@@ -97,8 +97,7 @@ type MigrateResult struct {
 
 // Table renders the aggregate migration counters.
 func (r *MigrateResult) Table() string {
-	o := stats.Ops{Migrates: r.Aggregate}
-	return o.MigrateTable().String()
+	return stats.MigrateTable(r.Aggregate).String()
 }
 
 // RunMigrate runs plan.Seeds migration sessions. Like the other

@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"github.com/salus-sim/salus/internal/link"
 	"github.com/salus-sim/salus/internal/securemem"
@@ -69,11 +68,11 @@ type ServePlan struct {
 
 	// TenantNames, when non-empty, tags the client streams with tenant
 	// identities round-robin, so every request feeds the server's
-	// per-tenant rollup (Report.Tenants) alongside its class counters.
+	// per-tenant counters (Report.Tenants) alongside its class counters.
 	TenantNames []string
 	// TenantSLO is the per-tenant availability floor in [0, 1],
-	// asserted on the campaign-aggregate rollup for every named tenant:
-	// (reads+writes-faults)/attempts. Zero reports without asserting.
+	// asserted on the campaign aggregate for every named tenant:
+	// Served/Attempts. Zero reports without asserting.
 	TenantSLO float64
 
 	// Classes overrides the server's per-class tuning; the zero value
@@ -155,15 +154,10 @@ type ServeResult struct {
 	TaintedBytes       int // bytes still write-ambiguous after quiesce
 }
 
-// Tables renders the aggregate per-class outcome and latency tables.
+// Tables renders the aggregate outcome (per class and per tenant) and
+// latency tables.
 func (r *ServeResult) Tables() string {
-	var b strings.Builder
-	b.WriteString(r.Aggregate.OutcomeTable().String())
-	b.WriteString(r.Aggregate.LatencyTable().String())
-	if len(r.Aggregate.Tenants) > 0 {
-		b.WriteString(r.Aggregate.TenantTable().String())
-	}
-	return b.String()
+	return r.Aggregate.OutcomeTable().String() + r.Aggregate.LatencyTable().String()
 }
 
 // RunServe runs plan.Seeds combined-chaos traffic sessions and asserts
@@ -190,13 +184,10 @@ func RunServe(plan ServePlan) ServeResult {
 			res.Violations = append(res.Violations,
 				"per-tenant SLO configured but no tenant rollup was recorded")
 		}
-		for i := range res.Aggregate.Tenants {
-			t := &res.Aggregate.Tenants[i]
-			att := t.Attempts()
-			if att == 0 {
-				continue
+		for _, id := range plan.TenantNames {
+			if t, ok := res.Aggregate.Tenants[id]; ok {
+				res.slo("tenant "+id, t.Availability(), plan.TenantSLO)
 			}
-			res.slo("tenant "+t.Name, float64(t.Reads+t.Writes-t.Faults)/float64(att), plan.TenantSLO)
 		}
 	}
 	return res

@@ -158,8 +158,7 @@ type TenantResult struct {
 
 // Table renders the aggregate per-tenant rollup.
 func (r *TenantResult) Table() string {
-	o := stats.Ops{Tenants: r.Aggregate}
-	return o.TenantTable().String()
+	return stats.TenantTable(r.Aggregate).String()
 }
 
 // RunTenant runs plan.Seeds hostile-tenant sessions and asserts the

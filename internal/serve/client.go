@@ -50,8 +50,8 @@ type OutcomeCounts struct {
 type ClientConfig struct {
 	ID    int
 	Class Class
-	// Tenant tags every request the client issues (per-tenant admission
-	// and Report.Tenants rollup); empty opts out.
+	// Tenant tags every request the client issues for the
+	// Report.Tenants counters; empty opts out.
 	Tenant string
 	// Base/Len is the client's byte region; regions of concurrent
 	// clients must be disjoint (the consistency oracle owns its bytes).
@@ -66,10 +66,9 @@ type ClientConfig struct {
 	// MaxSpan bounds a request's byte span; zero defaults to 96, always
 	// clamped to Len.
 	MaxSpan int
-	// Deadline and Retries override the class defaults when non-zero
-	// (relative deadline in cycles; Retries=-1 forces zero retries).
+	// Deadline overrides the class default relative deadline in cycles
+	// when non-zero.
 	Deadline sim.Cycle
-	Retries  int
 	// Pace, when set, receives exactly one tick per completed request —
 	// the chaos driver's work-based pacing signal. The send blocks, so
 	// the receiver must keep draining until every client returned; the
@@ -117,10 +116,9 @@ func (c *Client) Run(s *Server) {
 		span := 1 + c.rng.Intn(c.cfg.MaxSpan)
 		off := c.rng.Intn(c.cfg.Len - span + 1)
 		req := &Request{
-			Class:   c.cfg.Class,
-			Addr:    c.cfg.Base + securemem.HomeAddr(off),
-			Tenant:  c.cfg.Tenant,
-			Retries: c.cfg.Retries,
+			Class:  c.cfg.Class,
+			Addr:   c.cfg.Base + securemem.HomeAddr(off),
+			Tenant: c.cfg.Tenant,
 		}
 		if c.cfg.Deadline > 0 {
 			req.Deadline = s.Clock().Now() + c.cfg.Deadline

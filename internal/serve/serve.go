@@ -84,18 +84,6 @@ type ClassConfig struct {
 	Deadline sim.Cycle
 }
 
-// TenantConfig tunes one tenant's cross-class admission bucket: a
-// second token-bucket gate after the class bucket, keyed by
-// Request.Tenant, so one tenant's burst cannot spend a whole class's
-// admission budget.
-type TenantConfig struct {
-	// Rate is the refill rate in tokens per clock cycle; zero or
-	// negative disables rate limiting for the tenant.
-	Rate float64
-	// Burst is the bucket capacity (minimum 1 when Rate is set).
-	Burst float64
-}
-
 // Config configures a Server.
 type Config struct {
 	// Engine is the shared protected-memory engine. Required.
@@ -112,11 +100,6 @@ type Config struct {
 	// RestoreAfter is how many consecutive successes step the ladder
 	// back down one tier; zero selects DefaultRestoreAfter.
 	RestoreAfter int
-	// Tenants configures per-tenant admission buckets, keyed by
-	// Request.Tenant. Requests tagged with a tenant absent from the map
-	// are tracked in the per-tenant counters but never rate-limited;
-	// untagged requests skip the tenant stage entirely.
-	Tenants map[string]TenantConfig
 }
 
 // Degradation-ladder defaults.
@@ -147,56 +130,22 @@ type Request struct {
 	Data  []byte // write payload
 	Buf   []byte // read destination
 
-	// Tenant tags the request with a tenant identity for per-tenant
-	// admission (Config.Tenants) and the per-tenant outcome rollup in
-	// Report.Tenants. Empty opts out of both.
+	// Tenant tags the request for the per-tenant outcome counters in
+	// Report.Tenants; empty opts out. Per-tenant admission is
+	// internal/tenant's op quota, not a serve stage.
 	Tenant string
 
 	// Deadline is the absolute service-clock deadline; zero selects the
 	// class default (relative to submission).
 	Deadline sim.Cycle
-	// Retries overrides the class retry budget when >= 0; pass -1 (or
-	// leave the class default by using 0... see NoRetryOverride) to keep
-	// the class default. Writes never retry regardless.
-	Retries int
 	// OnDone, when set, runs with the outcome before Do returns, while
 	// the server still holds its engine lock — but only if the request
-	// actually reached the engine. Admission-stage rejections (shed,
-	// overload, pre-execution deadline) never touched engine state, so
-	// OnDone is not called for them; classify those from Do's return
-	// value. The engine-lock guarantee is what lets a client mutate its
-	// oracle inside OnDone without racing a concurrent quiesce/snapshot.
+	// passed admission and reached the engine. Admission refusals (shed,
+	// overload) never touched engine state, so OnDone is not called for
+	// them; classify those from Do's return value. The engine-lock
+	// guarantee is what lets a client mutate its oracle inside OnDone
+	// without racing a concurrent quiesce/snapshot.
 	OnDone func(err error)
-}
-
-// tokenBucket is a deterministic token bucket refilled by clock cycles.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   sim.Cycle
-}
-
-// take refills for elapsed cycles and consumes one token if available.
-func (b *tokenBucket) take(now sim.Cycle) bool {
-	if b.rate <= 0 {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if now > b.last {
-		b.tokens += float64(now-b.last) * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
 }
 
 // degrade is the degradation ladder: a leaky pressure counter of link
@@ -255,17 +204,16 @@ type Server struct {
 
 	clock   *sim.Clock
 	classes [NumClasses]ClassConfig
-	admit   [NumClasses]tokenBucket
-	tadmit  map[string]*tokenBucket // per-tenant buckets; immutable after New
+	admit   [NumClasses]*sim.TokenBucket
 	slots   [NumClasses]chan struct{}
 	deg     degrade
 	closed  atomic.Bool
 
-	mu   sync.Mutex // guards ops, lat, and tops
+	mu   sync.Mutex // guards ops, lat, tops, and tmax
 	ops  [NumClasses]stats.ServeOps
 	lat  [NumClasses]stats.Histogram
-	tops map[string]*stats.TenantOps
-	tmax int // high-water tier, for reporting
+	tops map[string]*stats.ServeOps // tagged requests, by Request.Tenant
+	tmax int                        // high-water tier, for reporting
 }
 
 // New builds a Server over cfg.Engine.
@@ -277,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Clock = &sim.Clock{}
 	}
 	defaults := DefaultClasses()
-	s := &Server{eng: cfg.Engine, clock: cfg.Clock}
+	s := &Server{eng: cfg.Engine, clock: cfg.Clock, tops: make(map[string]*stats.ServeOps)}
 	for c := Class(0); c < NumClasses; c++ {
 		cc := cfg.Classes[c]
 		if cc == (ClassConfig{}) {
@@ -286,25 +234,10 @@ func New(cfg Config) (*Server, error) {
 		if cc.Queue < 1 {
 			cc.Queue = 1
 		}
-		if cc.Rate > 0 && cc.Burst < 1 {
-			cc.Burst = 1
-		}
 		s.classes[c] = cc
-		b := &s.admit[c]
-		b.rate, b.burst, b.tokens = cc.Rate, cc.Burst, cc.Burst
+		s.admit[c] = sim.NewTokenBucket(cc.Rate, cc.Burst)
 		s.slots[c] = make(chan struct{}, cc.Queue)
 	}
-	s.tadmit = make(map[string]*tokenBucket, len(cfg.Tenants))
-	for id, tc := range cfg.Tenants {
-		if id == "" {
-			return nil, errors.New("serve: Config.Tenants key must be non-empty")
-		}
-		if tc.Rate > 0 && tc.Burst < 1 {
-			tc.Burst = 1
-		}
-		s.tadmit[id] = &tokenBucket{rate: tc.Rate, burst: tc.Burst, tokens: tc.Burst}
-	}
-	s.tops = make(map[string]*stats.TenantOps)
 	s.deg.shedAfter = cfg.ShedAfter
 	if s.deg.shedAfter <= 0 {
 		s.deg.shedAfter = DefaultShedAfter
@@ -376,25 +309,17 @@ func (s *Server) Do(req *Request) error {
 		return ErrClosed
 	}
 	if shed, tier := s.shedClass(c); shed {
-		s.finish(c, func(o *stats.ServeOps) { o.Shed++ })
-		s.finishTenant(req.Tenant, func(o *stats.TenantOps) { o.Quota++ })
+		s.record(req, stats.ServeOps{Shed: 1}, 0)
 		return fmt.Errorf("%w: class %v at tier %d", ErrShed, c, tier)
 	}
-	if !s.admit[c].take(s.clock.Now()) {
-		s.finish(c, func(o *stats.ServeOps) { o.Overload++ })
-		s.finishTenant(req.Tenant, func(o *stats.TenantOps) { o.Quota++ })
+	if !s.admit[c].Take(s.clock.Now()) {
+		s.record(req, stats.ServeOps{Overload: 1}, 0)
 		return fmt.Errorf("%w: class %v token bucket empty", ErrOverload, c)
-	}
-	if tb := s.tadmit[req.Tenant]; tb != nil && !tb.take(s.clock.Now()) {
-		s.finish(c, func(o *stats.ServeOps) { o.Overload++ })
-		s.finishTenant(req.Tenant, func(o *stats.TenantOps) { o.Quota++ })
-		return fmt.Errorf("%w: tenant %q token bucket empty", ErrOverload, req.Tenant)
 	}
 	select {
 	case s.slots[c] <- struct{}{}:
 	default:
-		s.finish(c, func(o *stats.ServeOps) { o.Overload++ })
-		s.finishTenant(req.Tenant, func(o *stats.TenantOps) { o.Quota++ })
+		s.record(req, stats.ServeOps{Overload: 1}, 0)
 		return fmt.Errorf("%w: class %v queue full (%d in flight)", ErrOverload, c, cap(s.slots[c]))
 	}
 	defer func() { <-s.slots[c] }()
@@ -413,15 +338,11 @@ func (s *Server) run(req *Request, c Class) error {
 		deadline = start + cc.Deadline
 	}
 	budget := cc.Retries
-	if req.Retries > 0 {
-		budget = req.Retries
-	}
 	if req.Write {
 		budget = 0
 	}
 
 	var err error
-	touched := false
 	retries := 0
 	for attempt := 0; ; attempt++ {
 		if deadline != 0 && s.clock.Now() >= deadline && attempt > 0 {
@@ -429,7 +350,6 @@ func (s *Server) run(req *Request, c Class) error {
 			break
 		}
 		err = s.exec(req)
-		touched = true
 		if err == nil {
 			break
 		}
@@ -460,34 +380,19 @@ func (s *Server) run(req *Request, c Class) error {
 	latency := s.clock.Now() - start
 
 	s.deg.observe(err == nil, linkRefused(err))
-	s.finish(c, func(o *stats.ServeOps) {
-		o.Retries += uint64(retries)
-		switch {
-		case err == nil:
-			o.Served++
-		case errors.Is(err, ErrDeadline):
-			o.Deadline++
-		case errors.Is(err, ErrAmbiguous):
-			o.Ambiguous++
-			o.Refused++
-		default:
-			o.Refused++
-		}
-		if err == nil {
-			s.lat[c].Observe(uint64(latency))
-		}
-	})
-	s.finishTenant(req.Tenant, func(o *stats.TenantOps) {
-		if req.Write {
-			o.Writes++
-		} else {
-			o.Reads++
-		}
-		if err != nil {
-			o.Faults++
-		}
-	})
-	if touched && req.OnDone != nil {
+	out := stats.ServeOps{Retries: uint64(retries)}
+	switch {
+	case err == nil:
+		out.Served = 1
+	case errors.Is(err, ErrDeadline):
+		out.Deadline = 1
+	case errors.Is(err, ErrAmbiguous):
+		out.Ambiguous, out.Refused = 1, 1
+	default:
+		out.Refused = 1
+	}
+	s.record(req, out, latency)
+	if req.OnDone != nil {
 		req.OnDone(err)
 	}
 	return err
@@ -502,30 +407,27 @@ func (s *Server) exec(req *Request) error {
 	return s.eng.Read(req.Addr, req.Buf)
 }
 
-// finish applies one outcome to the per-class counters.
-func (s *Server) finish(c Class, f func(*stats.ServeOps)) {
+// record folds one request's classified outcome into its class counters
+// and, for a tagged request, its tenant's; a served request's latency
+// feeds the class histogram.
+func (s *Server) record(req *Request, out stats.ServeOps, latency sim.Cycle) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f(&s.ops[c])
+	s.ops[req.Class].Add(out)
+	if out.Served != 0 {
+		s.lat[req.Class].Observe(uint64(latency))
+	}
+	if req.Tenant != "" {
+		o := s.tops[req.Tenant]
+		if o == nil {
+			o = new(stats.ServeOps)
+			s.tops[req.Tenant] = o
+		}
+		o.Add(out)
+	}
 	if t := s.deg.currentTier(); t > s.tmax {
 		s.tmax = t
 	}
-}
-
-// finishTenant applies one outcome to a tenant's rollup counters; the
-// empty tenant (an untagged request) is not tracked.
-func (s *Server) finishTenant(id string, f func(*stats.TenantOps)) {
-	if id == "" {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o := s.tops[id]
-	if o == nil {
-		o = &stats.TenantOps{Name: id}
-		s.tops[id] = o
-	}
-	f(o)
 }
 
 // WithQuiesced runs fn with every request drained and excluded: fn owns
@@ -580,12 +482,10 @@ func (s *Server) Engine() *securemem.Concurrent {
 type Report struct {
 	Ops     [NumClasses]stats.ServeOps
 	Latency [NumClasses]stats.Histogram
-	// Tenants is the per-tenant rollup for tenant-tagged requests,
-	// sorted by name: Reads/Writes count requests that reached the
-	// execution loop, Quota counts admission refusals (shed, class or
-	// tenant bucket, queue full), and Faults sub-classifies executed
-	// requests that failed.
-	Tenants []stats.TenantOps
+	// Tenants holds the outcome counters of tenant-tagged requests,
+	// keyed by Request.Tenant; summed field by field they equal the class
+	// counters of the tagged traffic. Untagged requests have no entry.
+	Tenants map[string]stats.ServeOps
 	// Tier is the degradation tier at snapshot time; PeakTier the
 	// highest tier the run ever reached.
 	Tier     int
@@ -597,48 +497,38 @@ func (s *Server) Snapshot() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := Report{Ops: s.ops, Latency: s.lat, Tier: s.deg.currentTier(), PeakTier: s.tmax}
-	r.Tenants = make([]stats.TenantOps, 0, len(s.tops))
-	for _, o := range s.tops {
-		r.Tenants = append(r.Tenants, *o)
+	r.Tenants = make(map[string]stats.ServeOps, len(s.tops))
+	for id, o := range s.tops {
+		r.Tenants[id] = *o
 	}
-	sort.Slice(r.Tenants, func(i, j int) bool { return r.Tenants[i].Name < r.Tenants[j].Name })
 	return r
 }
 
 // Availability returns class c's served fraction (1 when the class never
 // submitted anything).
-func (r *Report) Availability(c Class) float64 {
-	o := r.Ops[c]
-	att := o.Attempts()
-	if att == 0 {
-		return 1
-	}
-	return float64(o.Served) / float64(att)
-}
+func (r *Report) Availability(c Class) float64 { return r.Ops[c].Availability() }
 
-// FillOps copies the per-class counters into a stats.Ops block.
-func (r *Report) FillOps(o *stats.Ops) {
-	o.Serve = r.Ops
-	o.Tenants = append([]stats.TenantOps(nil), r.Tenants...)
-}
-
-// TenantTable renders the per-tenant rollup (empty table when no
-// request was tenant-tagged).
-func (r *Report) TenantTable() *stats.Table {
-	o := stats.Ops{Tenants: r.Tenants}
-	return o.TenantTable()
-}
-
-// OutcomeTable renders the per-class outcome counters with availability.
+// OutcomeTable renders the outcome counters with availability: one row
+// per class, then one "tenant:<id>" row per tagged tenant, sorted.
 func (r *Report) OutcomeTable() *stats.Table {
 	t := &stats.Table{Header: []string{"class", "served", "shed", "deadline", "overload", "refused", "retries", "ambiguous", "avail"}}
-	for c := Class(0); c < NumClasses; c++ {
-		o := r.Ops[c]
-		t.AddRow(c.String(),
+	row := func(name string, o stats.ServeOps) {
+		t.AddRow(name,
 			fmt.Sprintf("%d", o.Served), fmt.Sprintf("%d", o.Shed),
 			fmt.Sprintf("%d", o.Deadline), fmt.Sprintf("%d", o.Overload),
 			fmt.Sprintf("%d", o.Refused), fmt.Sprintf("%d", o.Retries),
-			fmt.Sprintf("%d", o.Ambiguous), fmt.Sprintf("%.4f", r.Availability(c)))
+			fmt.Sprintf("%d", o.Ambiguous), fmt.Sprintf("%.4f", o.Availability()))
+	}
+	for c := Class(0); c < NumClasses; c++ {
+		row(c.String(), r.Ops[c])
+	}
+	ids := make([]string, 0, len(r.Tenants))
+	for id := range r.Tenants {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		row("tenant:"+id, r.Tenants[id])
 	}
 	return t
 }
@@ -658,32 +548,18 @@ func (r *Report) LatencyTable() *stats.Table {
 // Merge folds o's counters and histograms into r (campaign aggregation).
 func (r *Report) Merge(o *Report) {
 	for c := Class(0); c < NumClasses; c++ {
-		a, b := &r.Ops[c], &o.Ops[c]
-		a.Served += b.Served
-		a.Shed += b.Shed
-		a.Deadline += b.Deadline
-		a.Overload += b.Overload
-		a.Refused += b.Refused
-		a.Retries += b.Retries
-		a.Ambiguous += b.Ambiguous
+		r.Ops[c].Add(o.Ops[c])
 		r.Latency[c].Merge(&o.Latency[c])
 	}
 	if o.PeakTier > r.PeakTier {
 		r.PeakTier = o.PeakTier
 	}
-	if len(o.Tenants) > 0 {
-		byName := make(map[string]int, len(r.Tenants))
-		for i := range r.Tenants {
-			byName[r.Tenants[i].Name] = i
+	for id, t := range o.Tenants {
+		if r.Tenants == nil {
+			r.Tenants = make(map[string]stats.ServeOps)
 		}
-		for _, t := range o.Tenants {
-			i, ok := byName[t.Name]
-			if !ok {
-				r.Tenants = append(r.Tenants, t)
-				continue
-			}
-			r.Tenants[i].Add(t)
-		}
-		sort.Slice(r.Tenants, func(i, j int) bool { return r.Tenants[i].Name < r.Tenants[j].Name })
+		sum := r.Tenants[id]
+		sum.Add(t)
+		r.Tenants[id] = sum
 	}
 }

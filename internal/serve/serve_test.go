@@ -347,84 +347,76 @@ func zeroEngineRetries() securemem.RetryPolicy {
 	return securemem.RetryPolicy{MaxRetries: 0, BaseBackoff: 1, MaxBackoff: 1}
 }
 
-// TestTenantAdmissionAndRollup pins the per-tenant stage: a tenant with
-// a tight bucket is refused with ErrOverload once its burst is spent
-// while a sibling tenant on the same class keeps serving, every
-// tenant-tagged outcome lands in exactly one rollup counter, and
-// untagged requests stay out of the table entirely.
-func TestTenantAdmissionAndRollup(t *testing.T) {
+// TestTenantCountersConserveClassCounters pins the per-tenant outcome
+// counters: with all traffic tagged, the tenants' ServeOps summed field
+// by field equal the classes' (every request lands in exactly one
+// tenant and one class, classified once); an untagged request moves the
+// class counters but creates no tenant entry; and Merge folds entries by
+// tenant.
+func TestTenantCountersConserveClassCounters(t *testing.T) {
 	eng := testEngine(t, 8, 2, 2)
-	cfg := Config{Tenants: map[string]TenantConfig{
-		"metered": {Rate: 1e-9, Burst: 2},
-	}}
+	n := 5 // transient faults: read retries and ambiguous writes
+	eng.AttachFaults(faultFirstN{&n}, zeroEngineRetries(), nil)
+	cfg := Config{}
+	cfg.Classes[Interactive] = ClassConfig{Queue: 4, Retries: 2}
+	cfg.Classes[Bulk] = ClassConfig{Rate: 1e-9, Burst: 2, Queue: 4, Retries: 1}
 	srv := testServer(t, eng, cfg)
 
+	tenants := []string{"a", "b", "c"}
 	buf := make([]byte, 8)
-	do := func(tenant string, write bool) error {
-		req := &Request{Class: Interactive, Addr: 0, Tenant: tenant}
-		if write {
+	for i := 0; i < 36; i++ {
+		req := &Request{Class: Class(i / 3 % int(NumClasses)), Addr: securemem.HomeAddr(64 * i), Tenant: tenants[i%3]}
+		if i%4 == 0 {
 			req.Write, req.Data = true, []byte{1, 2, 3, 4}
 		} else {
 			req.Buf = buf
 		}
-		return srv.Do(req)
+		_ = srv.Do(req) // every outcome is counted; the sums are the test
+	}
+	rep := srv.Snapshot()
+	var byClass, byTenant stats.ServeOps
+	for c := Class(0); c < NumClasses; c++ {
+		byClass.Add(rep.Ops[c])
+	}
+	for _, o := range rep.Tenants {
+		byTenant.Add(o)
+	}
+	if byTenant != byClass || byClass.Attempts() != 36 {
+		t.Fatalf("tenant sums %+v != class sums %+v over 36 requests", byTenant, byClass)
+	}
+	if byClass.Served == 0 || byClass.Overload == 0 || byClass.Retries == 0 || byClass.Ambiguous == 0 {
+		t.Fatalf("outcome mix too narrow to test conservation: %+v", byClass)
+	}
+	if len(rep.Tenants) != len(tenants) {
+		t.Fatalf("tenant entries %v, want %v", rep.Tenants, tenants)
 	}
 
-	const metered, free = 8, 6
-	var quotaHits int
-	for i := 0; i < metered; i++ {
-		err := do("metered", i%2 == 0)
-		if errors.Is(err, ErrOverload) {
-			quotaHits++
-		} else if err != nil {
-			t.Fatalf("metered request %d: %v", i, err)
-		}
-	}
-	if quotaHits != metered-2 {
-		t.Fatalf("metered tenant: %d quota refusals, want %d (burst 2)", quotaHits, metered-2)
-	}
-	for i := 0; i < free; i++ {
-		if err := do("free", false); err != nil {
-			t.Fatalf("free tenant request %d: %v", i, err)
-		}
-	}
-	// An untagged request must not create a tenant row.
-	if err := do("", false); err != nil {
+	if err := srv.Do(&Request{Class: Interactive, Buf: buf}); err != nil {
 		t.Fatalf("untagged request: %v", err)
 	}
-
-	rep := srv.Snapshot()
-	if len(rep.Tenants) != 2 {
-		t.Fatalf("tenant rows: %d, want 2 (%+v)", len(rep.Tenants), rep.Tenants)
+	after := srv.Snapshot()
+	if len(after.Tenants) != len(tenants) || after.Ops[Interactive].Served != rep.Ops[Interactive].Served+1 {
+		t.Fatalf("untagged request: tenants %v, interactive %+v", after.Tenants, after.Ops[Interactive])
 	}
-	if rep.Tenants[0].Name != "free" || rep.Tenants[1].Name != "metered" {
-		t.Fatalf("tenant rows not sorted by name: %+v", rep.Tenants)
-	}
-	m := rep.Tenants[1]
-	if m.Quota != uint64(quotaHits) || m.Attempts() != metered {
-		t.Fatalf("metered rollup: %+v, want %d quota over %d attempts", m, quotaHits, metered)
-	}
-	if m.Reads+m.Writes != 2 || m.Faults != 0 {
-		t.Fatalf("metered rollup executed %d reads + %d writes (faults %d), want 2 total", m.Reads, m.Writes, m.Faults)
-	}
-	f := rep.Tenants[0]
-	if f.Reads != free || f.Quota != 0 || f.Attempts() != free {
-		t.Fatalf("free rollup: %+v, want %d clean reads", f, free)
-	}
-	table := rep.TenantTable().String()
-	for _, want := range []string{"tenant", "quota", "metered", "free"} {
+	table := after.OutcomeTable().String()
+	for _, want := range []string{"interactive", "tenant:a", "tenant:c"} {
 		if !strings.Contains(table, want) {
-			t.Fatalf("tenant table missing %q:\n%s", want, table)
+			t.Fatalf("outcome table missing %q:\n%s", want, table)
 		}
 	}
 
-	// Merge folds rollups by name and keeps the order stable.
-	other := Report{Tenants: []stats.TenantOps{{Name: "metered", Reads: 3}, {Name: "zeta", Writes: 1}}}
-	rep.Merge(&other)
-	if len(rep.Tenants) != 3 || rep.Tenants[2].Name != "zeta" {
-		t.Fatalf("merge rows: %+v", rep.Tenants)
+	a := after.Tenants["a"]
+	other := Report{Tenants: map[string]stats.ServeOps{"a": {Served: 3}, "z": {Shed: 1}}}
+	after.Merge(&other)
+	if len(after.Tenants) != 4 || after.Tenants["z"] != (stats.ServeOps{Shed: 1}) {
+		t.Fatalf("merge entries: %v", after.Tenants)
 	}
-	if got := rep.Tenants[1]; got.Name != "metered" || got.Reads != m.Reads+3 {
-		t.Fatalf("merge did not fold metered reads: %+v", got)
+	if got := after.Tenants["a"]; got.Served != a.Served+3 || got.Attempts() != a.Attempts()+3 {
+		t.Fatalf("merge did not fold tenant a: %+v, was %+v", got, a)
+	}
+	var empty Report
+	empty.Merge(&other)
+	if empty.Tenants["z"].Shed != 1 {
+		t.Fatalf("merge into an empty report: %v", empty.Tenants)
 	}
 }

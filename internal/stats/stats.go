@@ -97,11 +97,12 @@ func (c ServeClass) String() string {
 	return fmt.Sprintf("serveclass(%d)", int(c))
 }
 
-// ServeOps counts one client class's request outcomes in service mode.
-// Served + Shed + Deadline + Overload + Refused covers every request the
-// class ever submitted: a request is exactly one of served, shed by a
-// degradation tier, rejected on its deadline, refused by admission
-// control, or refused typed by the engine (link/fault/ambiguous-write).
+// ServeOps counts the request outcomes of one client class, or of one
+// tenant tag, in service mode. Served + Shed + Deadline + Overload +
+// Refused covers every request submitted: a request is exactly one of
+// served, shed by a degradation tier, rejected on its deadline, refused
+// by admission control, or refused typed by the engine
+// (link/fault/ambiguous-write).
 type ServeOps struct {
 	Served    uint64 // requests completed successfully
 	Shed      uint64 // requests shed by a degradation tier (ErrShed)
@@ -115,6 +116,27 @@ type ServeOps struct {
 // Attempts returns every request the class submitted.
 func (s *ServeOps) Attempts() uint64 {
 	return s.Served + s.Shed + s.Deadline + s.Overload + s.Refused
+}
+
+// Availability returns the served fraction of Attempts (1 when nothing
+// was submitted).
+func (s *ServeOps) Availability() float64 {
+	att := s.Attempts()
+	if att == 0 {
+		return 1
+	}
+	return float64(s.Served) / float64(att)
+}
+
+// Add sums o's counters into s.
+func (s *ServeOps) Add(o ServeOps) {
+	s.Served += o.Served
+	s.Shed += o.Shed
+	s.Deadline += o.Deadline
+	s.Overload += o.Overload
+	s.Refused += o.Refused
+	s.Retries += o.Retries
+	s.Ambiguous += o.Ambiguous
 }
 
 // TenantOps counts one tenant's request outcomes at the pool boundary
@@ -138,12 +160,6 @@ type TenantOps struct {
 	Recovers    uint64 // per-tenant crash/recover cycles completed
 }
 
-// Attempts returns every operation the tenant ever submitted, served or
-// refused.
-func (t *TenantOps) Attempts() uint64 {
-	return t.Reads + t.Writes + t.Denied + t.Quota
-}
-
 // Add sums o's counters into t; the name is the caller's.
 func (t *TenantOps) Add(o TenantOps) {
 	t.Reads += o.Reads
@@ -156,29 +172,15 @@ func (t *TenantOps) Add(o TenantOps) {
 	t.Recovers += o.Recovers
 }
 
-// HasTenants reports whether any per-tenant activity was recorded.
-// Mirroring HasFaults' discipline, every field participates so a tenant
-// whose only activity is a trailing category still renders its row.
-func (o *Ops) HasTenants() bool {
-	for i := range o.Tenants {
-		t := &o.Tenants[i]
-		if t.Reads != 0 || t.Writes != 0 || t.Denied != 0 || t.Quota != 0 ||
-			t.Integrity != 0 || t.Faults != 0 || t.Checkpoints != 0 || t.Recovers != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// TenantTable renders the per-tenant rollup with the same stable-column
-// discipline as the link/fault lines: every column every time, rows
-// sorted by tenant name so map-fed input stays deterministic. Ragged
-// input is tolerated — an empty tenant list yields a header-only table,
-// unnamed tenants render as "-", duplicate names keep their own rows.
-func (o *Ops) TenantTable() *Table {
+// TenantTable renders a per-tenant rollup with a stable column set:
+// every column every time, rows sorted by tenant name so map-fed input
+// stays deterministic. Ragged input is tolerated — an empty list yields
+// a header-only table, unnamed tenants render as "-", duplicate names
+// keep their own rows.
+func TenantTable(rows []TenantOps) *Table {
 	t := &Table{Header: []string{"tenant", "reads", "writes", "denied", "quota", "integrity", "faults", "ckpts", "recovers"}}
-	for i := range o.Tenants {
-		row := &o.Tenants[i]
+	for i := range rows {
+		row := &rows[i]
 		name := row.Name
 		if name == "" {
 			name = "-"
@@ -230,28 +232,14 @@ func (m *MigrateOps) Add(o MigrateOps) {
 	m.Fresh += o.Fresh
 }
 
-// HasMigrates reports whether any migration activity was recorded.
-// Every field participates, mirroring HasTenants' discipline.
-func (o *Ops) HasMigrates() bool {
-	for i := range o.Migrates {
-		m := &o.Migrates[i]
-		if m.Rounds != 0 || m.ChunksSent != 0 || m.ChunksSkipped != 0 ||
-			m.BytesStreamed != 0 || m.Retries != 0 || m.Resumes != 0 ||
-			m.Torn != 0 || m.Replay != 0 || m.Attest != 0 || m.Fresh != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// MigrateTable renders the migration rollup with the same stable-column
+// MigrateTable renders a migration rollup with the same stable-column
 // discipline as TenantTable: every column every time, rows sorted by
 // tenant name, ragged input tolerated (empty list renders header-only,
 // unnamed rows render as "-", duplicates keep their own rows).
-func (o *Ops) MigrateTable() *Table {
+func MigrateTable(rows []MigrateOps) *Table {
 	t := &Table{Header: []string{"tenant", "rounds", "sent", "skipped", "bytes", "retries", "resumes", "torn", "replay", "attest", "fresh"}}
-	for i := range o.Migrates {
-		row := &o.Migrates[i]
+	for i := range rows {
+		row := &rows[i]
 		name := row.Tenant
 		if name == "" {
 			name = "-"
@@ -360,18 +348,6 @@ type Ops struct {
 	WritebacksDrained  uint64 // parked writebacks drained back home
 	WritebacksDropped  uint64 // evictions refused by a full queue
 	WritebackQueuePeak uint64 // queue depth high-water mark
-
-	// Traffic-service activity (salus-serve), per client class; all zero
-	// when no service ran.
-	Serve [NumServeClasses]ServeOps
-
-	// Per-tenant pool activity (internal/tenant); empty when no tenant
-	// pool ran.
-	Tenants []TenantOps
-
-	// Live-migration activity (internal/migrate); empty when no tenant
-	// migrated.
-	Migrates []MigrateOps
 }
 
 // HasFaults reports whether any fault-model activity was recorded. Every
@@ -397,21 +373,6 @@ func (o *Ops) HasLink() bool {
 // recorded.
 func (o *Ops) HasCheckpoints() bool {
 	return o.Checkpoints != 0 || o.CheckpointPages != 0 || o.CheckpointBytes != 0
-}
-
-// HasServe reports whether any traffic-service activity was recorded.
-// Every ServeOps field participates, mirroring HasFaults' discipline, so
-// a run whose only activity is a trailing category still renders its
-// serve lines.
-func (o *Ops) HasServe() bool {
-	for c := range o.Serve {
-		s := &o.Serve[c]
-		if s.Served != 0 || s.Shed != 0 || s.Deadline != 0 || s.Overload != 0 ||
-			s.Refused != 0 || s.Retries != 0 || s.Ambiguous != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Run is the full measurement record of one simulation.
@@ -489,42 +450,6 @@ func (r *Run) String() string {
 		fmt.Fprintf(&b, "  checkpoints epochs=%d pages=%d writebacks=%d journalBytes=%d (%.0fB/epoch) cycles=%d\n",
 			r.Ops.Checkpoints, r.Ops.CheckpointPages, r.Ops.CheckpointWritebacks,
 			r.Ops.CheckpointBytes, perEpoch, r.Ops.CheckpointCycles)
-	}
-	if r.Ops.HasServe() {
-		// One line per class, every class every time: the column set is
-		// part of the stable-output contract, like the faults line.
-		for c := ServeClass(0); c < NumServeClasses; c++ {
-			s := &r.Ops.Serve[c]
-			fmt.Fprintf(&b, "  serve class=%s served=%d shed=%d deadline=%d overload=%d refused=%d retries=%d ambiguous=%d\n",
-				c, s.Served, s.Shed, s.Deadline, s.Overload, s.Refused, s.Retries, s.Ambiguous)
-		}
-	}
-	if r.Ops.HasTenants() {
-		// One line per tenant, every column every time: the column set is
-		// part of the stable-output contract, like the serve lines.
-		for i := range r.Ops.Tenants {
-			tn := &r.Ops.Tenants[i]
-			name := tn.Name
-			if name == "" {
-				name = "-"
-			}
-			fmt.Fprintf(&b, "  tenant id=%s reads=%d writes=%d denied=%d quota=%d integrity=%d faults=%d ckpts=%d recovers=%d\n",
-				name, tn.Reads, tn.Writes, tn.Denied, tn.Quota, tn.Integrity, tn.Faults, tn.Checkpoints, tn.Recovers)
-		}
-	}
-	if r.Ops.HasMigrates() {
-		// One line per migration, every column every time, like the
-		// tenant lines.
-		for i := range r.Ops.Migrates {
-			m := &r.Ops.Migrates[i]
-			name := m.Tenant
-			if name == "" {
-				name = "-"
-			}
-			fmt.Fprintf(&b, "  migrate tenant=%s rounds=%d sent=%d skipped=%d bytes=%d retries=%d resumes=%d torn=%d replay=%d attest=%d fresh=%d\n",
-				name, m.Rounds, m.ChunksSent, m.ChunksSkipped, m.BytesStreamed,
-				m.Retries, m.Resumes, m.Torn, m.Replay, m.Attest, m.Fresh)
-		}
 	}
 	if len(r.CacheHitRates) > 0 {
 		keys := make([]string, 0, len(r.CacheHitRates))

@@ -248,58 +248,6 @@ func TestTableEmpty(t *testing.T) {
 	}
 }
 
-func TestRunStringServeLines(t *testing.T) {
-	r := Run{Workload: "serve", Model: "salus"}
-	if strings.Contains(r.String(), "serve class=") {
-		t.Errorf("serve-free run should not render serve lines:\n%s", r.String())
-	}
-	if r.Ops.HasServe() {
-		t.Error("zero Ops reported HasServe")
-	}
-	r.Ops.Serve[ServeInteractive].Served = 90
-	r.Ops.Serve[ServeInteractive].Deadline = 1
-	r.Ops.Serve[ServeBulk].Shed = 12
-	if !r.Ops.HasServe() {
-		t.Error("non-zero serve counters not reported by HasServe")
-	}
-	s := r.String()
-	// One line per class, every class every time, full stable column set.
-	for _, frag := range []string{
-		"serve class=interactive served=90 shed=0 deadline=1 overload=0 refused=0 retries=0 ambiguous=0",
-		"serve class=batch served=0 shed=0 deadline=0 overload=0 refused=0 retries=0 ambiguous=0",
-		"serve class=bulk served=0 shed=12 deadline=0 overload=0 refused=0 retries=0 ambiguous=0",
-	} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("String() missing serve line %q:\n%s", frag, s)
-		}
-	}
-}
-
-func TestHasServeTrailingCategories(t *testing.T) {
-	// Every ServeOps field participates in HasServe, mirroring the
-	// HasFaults trailing-category fix from PR 5.
-	cases := []func(*Ops){
-		func(o *Ops) { o.Serve[ServeBatch].Served = 1 },
-		func(o *Ops) { o.Serve[ServeBatch].Shed = 1 },
-		func(o *Ops) { o.Serve[ServeBatch].Deadline = 1 },
-		func(o *Ops) { o.Serve[ServeBatch].Overload = 1 },
-		func(o *Ops) { o.Serve[ServeBatch].Refused = 1 },
-		func(o *Ops) { o.Serve[ServeBatch].Retries = 1 },
-		func(o *Ops) { o.Serve[ServeBatch].Ambiguous = 1 },
-	}
-	for i, set := range cases {
-		var o Ops
-		set(&o)
-		if !o.HasServe() {
-			t.Errorf("case %d: single non-zero serve field not reported by HasServe", i)
-		}
-	}
-	s := ServeOps{Served: 3, Shed: 1, Deadline: 1, Overload: 1, Refused: 2}
-	if got := s.Attempts(); got != 8 {
-		t.Errorf("Attempts() = %d, want 8", got)
-	}
-}
-
 func TestServeClassString(t *testing.T) {
 	want := map[ServeClass]string{ServeInteractive: "interactive", ServeBatch: "batch", ServeBulk: "bulk"}
 	for c, name := range want {
@@ -320,26 +268,22 @@ func TestServeClassString(t *testing.T) {
 // tenants render as "-", duplicate names keep their own rows, and
 // map-fed input comes out sorted by name.
 func TestTenantTableRaggedInput(t *testing.T) {
-	empty := (&Ops{}).TenantTable().String()
+	empty := TenantTable(nil).String()
 	for _, col := range []string{"tenant", "reads", "writes", "denied", "quota", "integrity", "faults", "ckpts", "recovers"} {
 		if !strings.Contains(empty, col) {
 			t.Fatalf("empty table missing column %q:\n%s", col, empty)
 		}
 	}
-	if rows := (&Ops{}).TenantTable().Rows; len(rows) != 0 {
+	if rows := TenantTable(nil).Rows; len(rows) != 0 {
 		t.Fatalf("empty tenant list must render header-only, got %d rows", len(rows))
 	}
 
-	o := Ops{Tenants: []TenantOps{
+	tab := TenantTable([]TenantOps{
 		{Name: "zeta", Reads: 1},
 		{Name: "", Quota: 7},
 		{Name: "alpha", Denied: 2},
 		{Name: "alpha", Recovers: 3}, // duplicate name: its own row survives
-	}}
-	if !o.HasTenants() {
-		t.Fatal("HasTenants missed recorded activity")
-	}
-	tab := o.TenantTable()
+	})
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows: %d, want 4 (duplicates must not merge)", len(tab.Rows))
 	}
@@ -352,43 +296,30 @@ func TestTenantTableRaggedInput(t *testing.T) {
 	if got := tab.Rows[0][4]; got != "7" {
 		t.Fatalf("unnamed tenant quota cell %q, want 7", got)
 	}
-
-	// A tenant whose only activity is a trailing category still counts.
-	trail := Ops{Tenants: []TenantOps{{Name: "idle"}, {Name: "ck", Recovers: 1}}}
-	if !trail.HasTenants() {
-		t.Fatal("HasTenants missed trailing-category activity")
-	}
-	if (&Ops{Tenants: []TenantOps{{Name: "idle"}}}).HasTenants() {
-		t.Fatal("HasTenants reported activity for an all-zero tenant")
-	}
 }
 
 // TestMigrateTableRaggedInput pins the ragged-input contract of the
 // migration rollup, mirroring the TenantTable convention: an empty
 // migration list renders header-only, unnamed rows render as "-",
-// duplicate names keep their own rows, map-fed input comes out sorted,
-// and trailing-category-only activity still counts.
+// duplicate names keep their own rows, and map-fed input comes out
+// sorted.
 func TestMigrateTableRaggedInput(t *testing.T) {
-	empty := (&Ops{}).MigrateTable().String()
+	empty := MigrateTable(nil).String()
 	for _, col := range []string{"tenant", "rounds", "sent", "skipped", "bytes", "retries", "resumes", "torn", "replay", "attest", "fresh"} {
 		if !strings.Contains(empty, col) {
 			t.Fatalf("empty table missing column %q:\n%s", col, empty)
 		}
 	}
-	if rows := (&Ops{}).MigrateTable().Rows; len(rows) != 0 {
+	if rows := MigrateTable(nil).Rows; len(rows) != 0 {
 		t.Fatalf("empty migration list must render header-only, got %d rows", len(rows))
 	}
 
-	o := Ops{Migrates: []MigrateOps{
+	tab := MigrateTable([]MigrateOps{
 		{Tenant: "zeta", Rounds: 2},
 		{Tenant: "", Retries: 5},
 		{Tenant: "alpha", ChunksSent: 9},
 		{Tenant: "alpha", Fresh: 1}, // duplicate name: its own row survives
-	}}
-	if !o.HasMigrates() {
-		t.Fatal("HasMigrates missed recorded activity")
-	}
-	tab := o.MigrateTable()
+	})
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows: %d, want 4 (duplicates must not merge)", len(tab.Rows))
 	}
@@ -400,21 +331,6 @@ func TestMigrateTableRaggedInput(t *testing.T) {
 	}
 	if got := tab.Rows[0][5]; got != "5" {
 		t.Fatalf("unnamed migration retries cell %q, want 5", got)
-	}
-
-	// A migration whose only activity is the trailing rejection
-	// category still counts; an all-zero row does not.
-	if !(&Ops{Migrates: []MigrateOps{{Tenant: "x", Fresh: 1}}}).HasMigrates() {
-		t.Fatal("HasMigrates missed trailing-category activity")
-	}
-	if (&Ops{Migrates: []MigrateOps{{Tenant: "idle"}}}).HasMigrates() {
-		t.Fatal("HasMigrates reported activity for an all-zero row")
-	}
-
-	// The Run summary renders one migrate line per entry.
-	r := Run{Ops: Ops{Migrates: []MigrateOps{{Tenant: "m", Rounds: 3, BytesStreamed: 77}}}}
-	if s := r.String(); !strings.Contains(s, "migrate tenant=m rounds=3 sent=0 skipped=0 bytes=77") {
-		t.Fatalf("Run summary missing migrate line:\n%s", s)
 	}
 }
 
@@ -472,5 +388,25 @@ func TestMigrateOpsAddSumsEveryCounter(t *testing.T) {
 	assertSummed(t, &dst, 100, 1000)
 	if dst.Tenant != "dst" {
 		t.Errorf("Add overwrote the tenant: %q", dst.Tenant)
+	}
+}
+
+func TestServeOpsAddSumsEveryCounter(t *testing.T) {
+	var dst, src ServeOps
+	if fillCounters(&dst, 100) == 0 || fillCounters(&src, 1000) == 0 {
+		t.Fatal("ServeOps has no counters")
+	}
+	dst.Add(src)
+	assertSummed(t, &dst, 100, 1000)
+
+	s := ServeOps{Served: 3, Shed: 1, Deadline: 1, Overload: 1, Refused: 2, Retries: 9, Ambiguous: 1}
+	if got := s.Attempts(); got != 8 {
+		t.Errorf("Attempts() = %d, want 8 (retries and ambiguous are not outcomes)", got)
+	}
+	if got := s.Availability(); got != 3.0/8 {
+		t.Errorf("Availability() = %v, want 3/8", got)
+	}
+	if got := (&ServeOps{}).Availability(); got != 1 {
+		t.Errorf("idle Availability() = %v, want 1", got)
 	}
 }

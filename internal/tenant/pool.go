@@ -6,6 +6,7 @@ import (
 
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/securemem"
+	"github.com/salus-sim/salus/internal/sim"
 	"github.com/salus-sim/salus/internal/stats"
 )
 
@@ -92,8 +93,8 @@ func NewPool(cfg Config) (*Pool, error) {
 			queueCap: cfg.QueueCap,
 			memCfg:   memCfg,
 			eng:      eng,
+			bucket:   sim.NewTokenBucket(s.OpRate, s.OpBurst),
 		}
-		t.bucket = newQuotaBucket(s.OpRate, s.OpBurst)
 		p.tenants[s.ID] = t
 		p.order = append(p.order, t)
 	}

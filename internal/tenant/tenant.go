@@ -22,7 +22,8 @@ import (
 // Lock order: state -> mu -> the engine's internal locks. state guards
 // the engine pointer (held shared across every delegated op, exclusively
 // only while Pool.RecoverTenant swaps in a recovered engine); mu guards
-// the admission bucket and the op counters.
+// the op counters, whose in-slice attempt count clocks the admission
+// bucket (the bucket's own lock nests inside mu).
 type Tenant struct {
 	id       string
 	domain   string
@@ -39,39 +40,8 @@ type Tenant struct {
 	eng   *securemem.Concurrent
 
 	mu     sync.Mutex
-	bucket quotaBucket
+	bucket *sim.TokenBucket // op quota, clocked by in-slice attempts
 	ops    stats.TenantOps
-}
-
-// quotaBucket is the tenant's deterministic admission quota: a token
-// bucket clocked by op attempts rather than wall time (the simulation
-// core is wall-clock-free), gaining rate tokens per attempt up to
-// burst. A storm of attempts therefore drains to a fixed duty cycle of
-// rate admitted ops per attempt — deterministic for a given op sequence.
-type quotaBucket struct {
-	enabled     bool
-	rate, burst float64
-	tokens      float64
-}
-
-func newQuotaBucket(rate, burst float64) quotaBucket {
-	return quotaBucket{enabled: rate > 0, rate: rate, burst: burst, tokens: burst}
-}
-
-// take advances the bucket one attempt-tick and reports admission.
-func (b *quotaBucket) take() bool {
-	if !b.enabled {
-		return true
-	}
-	b.tokens += b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
 }
 
 // ID returns the tenant identifier.
@@ -131,7 +101,9 @@ func (t *Tenant) admit(addr securemem.HomeAddr, n int, write bool) (securemem.Ho
 		t.ops.Denied++
 		return 0, ErrTenantDenied
 	}
-	if !t.bucket.take() {
+	// The quota gains OpRate tokens per in-slice attempt, so a storm of
+	// attempts drains to a fixed duty cycle whatever the wall clock does.
+	if !t.bucket.Take(sim.Cycle(t.ops.Reads + t.ops.Writes + t.ops.Quota + 1)) {
 		t.ops.Quota++
 		return 0, ErrQuota
 	}
