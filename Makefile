@@ -122,8 +122,12 @@ migrate-smoke:
 # migrate) on their summary line with the interleaving-dependent counters
 # masked. After an intended output change, regenerate the files with
 # `go test ./cmd/salus-check -run TestGolden -update` and review the diff.
+# It also renders every `salus-bench -quick -all` paper figure and study
+# as JSON and compares it byte for byte with BENCH_seed.json; regenerate
+# that file with `make bench-baseline`.
 golden-compare:
 	$(GO) test ./cmd/salus-check -run '^TestGolden$$' -count=1
+	$(GO) test ./internal/experiments -run '^TestQuickCampaignGolden$$' -count=1
 
 # ladderbench-build vets and tests the benchmark harness in _ladderbench/.
 # It is a module of its own, so the root `go build ./...` skips it; this
@@ -132,10 +136,11 @@ golden-compare:
 ladderbench-build:
 	$(GO) -C _ladderbench vet ./... && $(GO) -C _ladderbench test ./...
 
-# bench-baseline refreshes the checked-in perf baseline: the quick
-# variant of every salus-bench workload, in JSON, written to
-# BENCH_seed.json. Later PRs compare against it to hold the ROADMAP
-# item-2 perf trajectory; regenerate only on machine-class changes.
+# bench-baseline regenerates the paper-figure golden: every result of
+# the quick salus-bench campaign, in JSON, written to BENCH_seed.json.
+# Simulated results do not depend on the host, so golden-compare checks
+# the file byte for byte; regenerate only after an intended change to a
+# simulated result, and review the diff.
 bench-baseline:
 	$(GO) run ./cmd/salus-bench -quick -all -format json > BENCH_seed.json
 

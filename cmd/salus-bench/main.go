@@ -85,70 +85,23 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, out)
 	}
 
+	want := map[string]bool{
+		fmt.Sprintf("table%d", *table): true,
+		fmt.Sprintf("fig%d", *fig):     true,
+		"workloads":                    *workloads,
+		"coverage":                     *coverage,
+		"ablation":                     *ablation,
+		"sensitivity":                  *sensitivity,
+		"counters":                     *counterOrg,
+		"migration":                    *migration,
+		"seeds":                        *seeds > 1,
+	}
 	ran := false
-	if *table == 1 || *all {
-		emit(experiments.Table1(settings.Cfg), nil)
-		ran = true
-	}
-	if *table == 2 || *all {
-		emit(experiments.Table2(settings.Cfg), nil)
-		ran = true
-	}
-	if *workloads || *all {
-		emit(experiments.WorkloadTable(settings), nil)
-		ran = true
-	}
-	if *coverage || *all {
-		emit(experiments.ChannelCoverage(settings))
-		ran = true
-	}
-	if *fig == 3 || *all {
-		emit(runner.Fig3())
-		ran = true
-	}
-	if *fig == 10 || *all {
-		emit(runner.Fig10())
-		ran = true
-	}
-	if *fig == 11 || *all {
-		emit(runner.Fig11())
-		ran = true
-	}
-	if *fig == 12 || *all {
-		emit(runner.Fig12())
-		ran = true
-	}
-	if *fig == 13 || *all {
-		emit(runner.Fig13())
-		ran = true
-	}
-	if *fig == 14 || *all {
-		emit(runner.Fig14())
-		ran = true
-	}
-	if *ablation || *all {
-		emit(runner.Ablation())
-		ran = true
-	}
-	if *sensitivity || *all {
-		emit(runner.MetaCacheSensitivity())
-		ran = true
-	}
-	if *counterOrg || *all {
-		emit(runner.CounterOrganisation())
-		ran = true
-	}
-	if *migration || *all {
-		emit(runner.MigrationGranularity())
-		ran = true
-	}
-	if *seeds > 1 || *all {
-		n := *seeds
-		if n < 2 {
-			n = 3
+	for _, step := range runner.Steps(*seeds) {
+		if *all || want[step.Key] {
+			emit(step.Run())
+			ran = true
 		}
-		emit(runner.SeedStability(n))
-		ran = true
 	}
 	if *breakdown != "" {
 		emit(runner.TrafficBreakdown(*breakdown))

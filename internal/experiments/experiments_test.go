@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -377,4 +378,44 @@ func TestSeedStability(t *testing.T) {
 		t.Errorf("spread %.2f pp exceeds mean %.2f%% — improvement is noise-dominated",
 			res.Summary["spread (max-min) pp"], res.Summary["mean improvement %"])
 	}
+}
+
+// TestQuickCampaignGolden renders every `salus-bench -quick -all` result
+// as JSON, exactly as the command prints it, and compares the output byte
+// for byte with the checked-in BENCH_seed.json. After an intended change
+// to a simulated result, regenerate the file with `make bench-baseline`
+// and review the diff.
+func TestQuickCampaignGolden(t *testing.T) {
+	var got strings.Builder
+	for _, step := range sharedRunner.Steps(0) {
+		res, err := step.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", step.Key, err)
+		}
+		out, err := res.Render(JSON)
+		if err != nil {
+			t.Fatalf("%s: %v", step.Key, err)
+		}
+		got.WriteString(out + "\n")
+	}
+	want, err := os.ReadFile("../../BENCH_seed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+		i++
+	}
+	at := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of output>"
+	}
+	t.Fatalf("quick campaign differs from BENCH_seed.json at line %d:\n got %q\nwant %q\n(regenerate with `make bench-baseline` if the change is intended)",
+		i+1, at(gl), at(wl))
 }

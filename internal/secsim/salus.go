@@ -289,7 +289,8 @@ func (s *Salus) OnEvict(homePage, frame int, dirty, present uint64, done func())
 	s.ctx.Ops.Decryptions += uint64(nDirty * g.SectorsPerChunk())
 
 	// Distinct collapsed sectors and tree leaves affected.
-	colSectors := map[int]bool{}
+	var leafBuf [64]int
+	colSectors := leafBuf[:0]
 	pageBase := uint64(homePage) * uint64(g.PageSize)
 	macWrites := 0
 	for c := 0; c < g.ChunksPerPage(); c++ {
@@ -298,7 +299,7 @@ func (s *Salus) OnEvict(homePage, frame int, dirty, present uint64, done func())
 		}
 		macWrites += g.BlocksPerChunk()
 		homeChunkAddr := pageBase + uint64(c*g.ChunkSize)
-		colSectors[int(homeChunkAddr/collapsedCoverage)] = true
+		colSectors = appendLeaf(colSectors, int(homeChunkAddr/collapsedCoverage))
 	}
 
 	counterTransfers := 0
@@ -321,7 +322,7 @@ func (s *Salus) OnEvict(homePage, frame int, dirty, present uint64, done func())
 		s.ctx.CXL.Access(32, stats.Counter, j)
 	}
 	// Collapsed counter sectors and the compact CXL tree are refreshed.
-	for leaf := range colSectors {
+	for _, leaf := range colSectors {
 		s.cxlCol.Install(uint64(leaf)*32, 0)
 		s.ctx.Ops.BMTUpdates++
 		s.cxlTree.Update(leaf, j)

@@ -163,6 +163,10 @@ func (m *metaCache) Invalidate(addr uint64) {
 // Stats exposes the underlying cache counters.
 func (m *metaCache) Stats() cache.Stats { return m.c.Stats() }
 
+// maxBMTLevels bounds a tree's interior levels: an 8-ary tree over any
+// int leaf count is at most ceil(63/3) levels deep.
+const maxBMTLevels = 21
+
 // bmtRegion models one integrity tree's timing: a walk from a leaf's
 // parent toward the root through a BMT node cache, reading missed nodes
 // from the backing memory. A cached node is trusted, so the walk stops at
@@ -202,7 +206,8 @@ func (r *bmtRegion) walk(leaf int, dirty bool, done func()) {
 		done()
 		return
 	}
-	var addrs []uint64
+	var path [maxBMTLevels]uint64
+	addrs := path[:0]
 	idx := leaf
 	for level := 0; level < len(r.levelNodes); level++ {
 		idx /= 8
@@ -231,6 +236,17 @@ func (r *bmtRegion) Verify(leaf int, done func()) { r.walk(leaf, false, done) }
 
 // Update runs a write-side path refresh for the counter block at leaf.
 func (r *bmtRegion) Update(leaf int, done func()) { r.walk(leaf, true, done) }
+
+// appendLeaf adds leaf to an ascending list of distinct tree leaves. The
+// eviction paths visit a page's chunks in ascending address order, so the
+// leaves arrive sorted and a repeat can only equal the last entry; the
+// ordered list then issues the tree updates in a fixed order.
+func appendLeaf(leaves []int, leaf int) []int {
+	if n := len(leaves); n > 0 && leaves[n-1] == leaf {
+		return leaves
+	}
+	return append(leaves, leaf)
+}
 
 // join returns a callback that fires fn after being called n times. n == 0
 // fires immediately.

@@ -1,8 +1,10 @@
 package secsim
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/salus-sim/salus/internal/cache"
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/cxlmem"
 	"github.com/salus-sim/salus/internal/dram"
@@ -436,5 +438,70 @@ func TestCacheHitRatesReported(t *testing.T) {
 	s := NewSalus(ctx, 1<<20, 1<<22, 16)
 	if got := s.CacheHitRates(); len(got) != 4 {
 		t.Errorf("salus hit-rate keys = %d, want 4", len(got))
+	}
+}
+
+func TestEvictTreeUpdatesDeterministic(t *testing.T) {
+	// Monolithic counters give each chunk of a page its own CXL counter
+	// leaf, and Salus's collapsed sectors split a page in two, so one
+	// eviction refreshes several tree paths that share ancestors. The
+	// order of those refreshes shapes the BMT cache's fetches, merges,
+	// MSHR stalls and hits; it must be fixed, so every fresh engine agrees
+	// on all of them.
+	type outcome struct {
+		done    sim.Cycle
+		ops     stats.Ops
+		traffic stats.Traffic
+		cxlBMT  cache.Stats
+		rates   string
+	}
+	evict := func(salus bool) outcome {
+		ctx, run := testCtx()
+		// Few metadata MSHRs make the walks contend, so the update order
+		// decides which fetch waits for an MSHR.
+		ctx.Cfg.Security.MetaCacheMSHRs = 32
+		var e interface {
+			OnEvict(homePage, frame int, dirty, present uint64, done func())
+			CacheHitRates() map[string]float64
+		}
+		var tree *bmtRegion
+		if salus {
+			s := NewSalus(ctx, 1<<20, 1<<22, 256)
+			e, tree = s, s.cxlTree
+		} else {
+			b := NewBaseline(ctx, 1<<20, 1<<22)
+			b.SetMonolithicCounters(true)
+			e, tree = b, b.cxlTree
+		}
+		var out outcome
+		pending := 32
+		for page := 0; page < 32; page++ {
+			ctx.Eng.At(sim.Cycle(page*20), func() {
+				e.OnEvict(page, page%16, 0xFFFF, 0xFFFF, func() {
+					if pending--; pending == 0 {
+						out.done = ctx.Eng.Now()
+					}
+				})
+			})
+		}
+		drain(ctx)
+		if pending != 0 {
+			t.Fatalf("salus=%v: %d evictions never completed", salus, pending)
+		}
+		out.ops, out.traffic = run.Ops, run.Traffic
+		out.cxlBMT = tree.cache.Stats()
+		out.rates = fmt.Sprint(e.CacheHitRates())
+		return out
+	}
+	for _, salus := range []bool{false, true} {
+		first := evict(salus)
+		if first.ops.BMTUpdates < 2 {
+			t.Fatalf("salus=%v: %d tree updates, want a multi-leaf eviction", salus, first.ops.BMTUpdates)
+		}
+		for i := 1; i < 20; i++ {
+			if got := evict(salus); got != first {
+				t.Fatalf("salus=%v: engine %d differs:\n got %+v\nwant %+v", salus, i, got, first)
+			}
+		}
 	}
 }

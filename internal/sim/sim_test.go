@@ -56,22 +56,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ev := e.At(5, func() { ran = true })
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false for queued event")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("Cancel returned true for already-cancelled event")
-	}
-	e.Run(0)
-	if ran {
-		t.Error("cancelled event still fired")
-	}
-}
-
 func TestEngineRunLimit(t *testing.T) {
 	e := NewEngine()
 	count := 0
