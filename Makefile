@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet fmt race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare ladderbench-build bench-baseline bench-record bench-compare ci
+.PHONY: all build test lint vet fmt race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare ladderbench-build cutover-bench bench-baseline bench-record bench-compare ci
 
 all: build test
 
@@ -136,6 +136,12 @@ golden-compare:
 ladderbench-build:
 	$(GO) -C _ladderbench vet ./... && $(GO) -C _ladderbench test ./...
 
+# cutover-bench runs BenchmarkMigrateCutover once: a migration of a
+# 1024-page tenant whose quiesced cutover time it reports as pause-ms.
+# One iteration keeps it compiling and running; it gates nothing.
+cutover-bench:
+	$(GO) test ./internal/migrate -run '^$$' -bench '^BenchmarkMigrateCutover$$' -benchtime 1x
+
 # bench-baseline regenerates the paper-figure golden: every result of
 # the quick salus-bench campaign, in JSON, written to BENCH_seed.json.
 # Simulated results do not depend on the host, so golden-compare checks
@@ -164,4 +170,4 @@ bench-record:
 bench-compare:
 	$(GO) run ./cmd/salus-bench -perf -perf-compare BENCH_perf.json > bench-current.json
 
-ci: build lint test race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare ladderbench-build bench-compare
+ci: build lint test race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke golden-compare ladderbench-build cutover-bench bench-compare

@@ -523,9 +523,10 @@ func runMigrateSeed(plan MigratePlan, seed int64, res *MigrateResult) []string {
 	}
 	for k := 0; k < len(tape); k++ {
 		// Endpoint crash at boundary k: the stream just stops. The
-		// destination must be exactly pristine — nothing is applied
-		// before a verified cutover, so there is no half-applied state
-		// to clean up on either a source or a destination crash.
+		// destination must be exactly pristine — verified rounds are
+		// staged off-pool and nothing reaches the pool before a
+		// verified cutover, so there is no half-applied state to clean
+		// up on either a source or a destination crash.
 		p, r, pristine := freshDest()
 		if p == nil {
 			return vs

@@ -61,6 +61,65 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplaySinceMatchesReplay: replaying a journal one committed delta
+// at a time (deltas cut with MemStore.Tail) yields exactly the records
+// of one Replay, and a delta replayed again or out of order is refused
+// as it would be inside the whole journal.
+func TestReplaySinceMatchesReplay(t *testing.T) {
+	store := NewMemStore()
+	j := NewJournal(store)
+	var deltas [][]byte
+	for e := uint64(1); e <= 4; e++ {
+		for r := 0; r < int(e); r++ {
+			if err := j.Append(1, e, []byte(fmt.Sprintf("epoch %d record %d", e, r))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e == 2 {
+			// Abandon epoch 2 mid-way; epoch 3's commit follows.
+			continue
+		}
+		if err := j.Commit(e); err != nil {
+			t.Fatal(err)
+		}
+		written := 0
+		for _, d := range deltas {
+			written += len(d)
+		}
+		deltas = append(deltas, store.Tail(written))
+	}
+	if got := store.Tail(len(store.Bytes())); got != nil {
+		t.Fatalf("Tail past the end = %q, want nil", got)
+	}
+	whole, err := Replay(store.Bytes(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var staged []Record
+	epochs := []uint64{1, 3, 4}
+	base := uint64(0)
+	for i, d := range deltas {
+		recs, err := ReplaySince(d, base, epochs[i])
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		staged = append(staged, recs...)
+		base = epochs[i]
+	}
+	if !recordsEqual(staged, whole) {
+		t.Fatalf("delta-by-delta replay: %d records, whole journal %d", len(staged), len(whole))
+	}
+	if _, err := ReplaySince(deltas[0], 1, 3); !errors.Is(err, ErrTornCheckpoint) {
+		t.Fatalf("epoch 1's delta replayed again: %v; want ErrTornCheckpoint", err)
+	}
+	if _, err := ReplaySince(deltas[2], 4, 3); !errors.Is(err, ErrRollback) {
+		t.Fatalf("target below base: %v; want ErrRollback", err)
+	}
+	if recs, err := ReplaySince(deltas[2], 4, 4); recs != nil || err != nil {
+		t.Fatalf("target equal to base = %v, %v; want nil, nil", recs, err)
+	}
+}
+
 func TestReplayRejectsStaleJournal(t *testing.T) {
 	store := NewMemStore()
 	journalEpochs(t, store, 2)

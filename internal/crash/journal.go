@@ -135,12 +135,29 @@ func encodeRecord(typ byte, epoch uint64, payload []byte) []byte {
 //     target: (nil, ErrRollback) — an internally valid but stale journal
 //     is a rollback of the trusted epoch, never silently accepted.
 func Replay(data []byte, target uint64) ([]Record, error) {
-	if target == 0 {
+	return ReplaySince(data, 0, target)
+}
+
+// ReplaySince is Replay over a journal suffix: data starts just after
+// the commit record of epoch base, and every epoch in it must lie above
+// base, exactly as it would in the whole journal. A journal cut right
+// after commit records and replayed one delta at a time, each call's
+// base the previous call's target, yields exactly the records one
+// Replay of the whole journal returns. target equal to base returns
+// (nil, nil) without reading data; target below base is ErrRollback.
+//
+// Returned payloads alias data; callers that keep them past the next
+// change to data must copy.
+func ReplaySince(data []byte, base, target uint64) ([]Record, error) {
+	if target == base {
 		return nil, nil
+	}
+	if target < base {
+		return nil, fmt.Errorf("%w: trusted epoch %d is below replayed epoch %d", ErrRollback, target, base)
 	}
 	var (
 		out          []Record
-		committed    uint64   // last committed epoch seen
+		committed    = base   // last committed epoch seen
 		pendingEpoch uint64   // epoch of the uncommitted records below
 		pendingRecs  []Record // records of pendingEpoch since its last record run began
 	)
@@ -218,7 +235,7 @@ func decodeRecord(data []byte) (Record, int, error) {
 	return Record{
 		Type:    data[2],
 		Epoch:   binary.LittleEndian.Uint64(data[3:]),
-		Payload: append([]byte(nil), data[recHeaderLen:recHeaderLen+int(plen)]...),
+		Payload: data[recHeaderLen : recHeaderLen+int(plen) : recHeaderLen+int(plen)],
 	}, total, nil
 }
 

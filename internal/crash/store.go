@@ -24,6 +24,16 @@ func (m *MemStore) Sync() error { return nil }
 // Bytes returns a copy of everything written.
 func (m *MemStore) Bytes() []byte { return append([]byte(nil), m.buf...) }
 
+// Tail returns a copy of everything written from byte off on: the
+// journal delta since a reader last looked, without copying the
+// prefix it already has. off beyond the written length returns nil.
+func (m *MemStore) Tail(off int) []byte {
+	if off >= len(m.buf) {
+		return nil
+	}
+	return append([]byte(nil), m.buf[off:]...)
+}
+
 // DamageMode selects how the writes issued after the last successful Sync
 // — the contents of the device's volatile write cache at the instant of
 // power loss — appear on the medium afterwards.

@@ -4,9 +4,9 @@
 // tenant's memory moves as ciphertext verbatim — the stream carries the
 // checkpoint journal (ciphertext pages plus the compact CXL-side
 // metadata: counters, MAC sectors, TrustedRoot lineage) and the
-// destination rebuilds the tenant with tenant.Pool.RecoverTenant, whose
-// derived keys match the source's by construction when both pools hold
-// the same masters.
+// destination rebuilds the tenant in a tenant.Pool.StageRecovery staging
+// under derived keys that match the source's by construction when both
+// pools hold the same masters.
 //
 // The pipeline is robust by construction, not by luck:
 //
@@ -28,9 +28,15 @@
 //     exhausted retries park the session resumable (ErrLinkLost) — a
 //     later Run continues with the in-flight record, never re-sending
 //     chunks the destination already verified.
-//   - The destination applies nothing until the cutover record
-//     verifies; any rejection leaves it untouched and the source still
-//     serving. There is no half-applied destination state by design.
+//   - The destination replays each round into a private staged engine
+//     as soon as the round's commit verifies (a round whose counters
+//     disagree with its commit root is refused right there), so the
+//     quiesced cutover only applies the final delta. Nothing reaches
+//     the destination pool until the cutover record verifies and the
+//     staged state reproduces the attested digest; any rejection
+//     scrubs the staging and leaves the pool untouched and the source
+//     still serving. There is no half-applied destination state by
+//     design.
 //
 // salus-check -migrate replays the whole contract per seed: a
 // differential oracle against a no-migration control run, a
@@ -281,15 +287,18 @@ func (s *Session) Run() error {
 	}
 	if err := s.runFinal(); err != nil {
 		s.failed = err
+		s.recv.discard()
 		return err
 	}
 	return nil
 }
 
-// fail marks err terminal unless it is a resumable link loss.
+// fail marks err terminal unless it is a resumable link loss. A
+// terminal failure discards whatever the destination had staged.
 func (s *Session) fail(err error) error {
 	if !errors.Is(err, ErrLinkLost) {
 		s.failed = err
+		s.recv.discard()
 	}
 	return err
 }
@@ -348,9 +357,9 @@ func (s *Session) syncRound(final bool) error {
 	if err != nil {
 		return fmt.Errorf("migrate: source checkpoint: %w", err)
 	}
-	delta := s.store.Bytes()[s.framed:]
+	delta := s.store.Tail(s.framed)
 	s.lastDelta = len(delta)
-	s.framed = len(s.store.Bytes())
+	s.framed += len(delta)
 
 	s.round++
 	hdr := make([]byte, 20)

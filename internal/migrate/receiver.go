@@ -13,12 +13,16 @@ import (
 )
 
 // Receiver is the destination endpoint of one migration session. It
-// verifies and buffers the stream but applies nothing until the cutover
-// record verifies end to end — so a session aborted at any record
+// verifies the stream frame by frame and replays each round into a
+// staged engine private to the receiver as soon as that round's commit
+// verifies, so the cutover only has the final delta left to apply.
+// Nothing reaches the destination pool until the cutover record and the
+// staged state digest both verify — so a session aborted at any record
 // boundary, for any reason, leaves the destination tenant exactly as it
-// was. The receiver is fail-stop: the first typed rejection poisons the
-// session and every later Feed returns the same error, which is what
-// keeps an attacker from probing one stream position at a time.
+// was, and an aborted staging is scrubbed. The receiver is fail-stop:
+// the first typed rejection poisons the session and every later Feed
+// returns the same error, which is what keeps an attacker from probing
+// one stream position at a time.
 type Receiver struct {
 	pool  *tenant.Pool
 	id    string
@@ -28,12 +32,12 @@ type Receiver struct {
 	ch    *chain
 	floor uint64 // lineage floor: newest epoch this destination trusts
 
-	buf       []byte // verified journal bytes, applied only at cutover
-	expect    int    // buf length the open round must reach
+	stage     *tenant.Staging // verified rounds, applied off-pool; nil before the first commit
+	buf       []byte          // the open round's verified journal bytes
+	off       int             // journal offset of buf: bytes of the rounds already staged
+	expect    int             // buf length the open round must reach
 	roundOpen bool
 	lastRound uint32
-	lastRoot  securemem.TrustedRoot
-	haveRoot  bool
 
 	done   bool
 	failed error
@@ -144,7 +148,7 @@ func (r *Receiver) feedRound(p []byte) error {
 		return r.poison(fmt.Errorf("%w: implausible round delta %d bytes", ErrTornStream, dlen))
 	}
 	r.lastRound = round
-	r.expect = len(r.buf) + int(dlen)
+	r.expect = int(dlen)
 	r.roundOpen = true
 	return nil
 }
@@ -158,8 +162,8 @@ func (r *Receiver) feedChunk(p []byte) error {
 	}
 	off := binary.LittleEndian.Uint64(p[0:8])
 	data := p[8:]
-	if off != uint64(len(r.buf)) {
-		return r.poison(fmt.Errorf("%w: chunk at offset %d, stream at %d", ErrTornStream, off, len(r.buf)))
+	if off != uint64(r.off+len(r.buf)) {
+		return r.poison(fmt.Errorf("%w: chunk at offset %d, stream at %d", ErrTornStream, off, r.off+len(r.buf)))
 	}
 	if len(r.buf)+len(data) > r.expect {
 		return r.poison(fmt.Errorf("%w: chunk overruns declared round delta", ErrTornStream))
@@ -182,9 +186,21 @@ func (r *Receiver) feedCommit(p []byte) error {
 	if root.Epoch <= r.floor {
 		return r.poison(fmt.Errorf("%w: commit epoch %d at or below trusted epoch %d", ErrFreshness, root.Epoch, r.floor))
 	}
+	// The round verified: stage it now, while the source keeps serving,
+	// and drop its bytes.
+	if r.stage == nil {
+		st, err := r.pool.StageRecovery(r.id)
+		if err != nil {
+			return r.poison(mapRecoverErr(err))
+		}
+		r.stage = st
+	}
+	if err := r.stage.Apply(r.buf, root); err != nil {
+		return r.poison(mapRecoverErr(err))
+	}
+	r.off += len(r.buf)
+	r.buf = nil
 	r.floor = root.Epoch
-	r.lastRoot = root
-	r.haveRoot = true
 	r.roundOpen = false
 	return nil
 }
@@ -193,21 +209,22 @@ func (r *Receiver) feedCutover(p []byte) error {
 	if len(p) != 32 {
 		return r.poison(fmt.Errorf("%w: cutover digest %d bytes, want 32", ErrTornStream, len(p)))
 	}
-	if r.roundOpen || !r.haveRoot {
+	if r.roundOpen || r.stage == nil {
 		return r.poison(fmt.Errorf("%w: cutover before a committed round", ErrTornStream))
 	}
-	// The single apply point: everything upstream verified, so rebuild
-	// the tenant and hold it to the attested digest.
-	if err := r.pool.RecoverTenant(r.id, r.buf, r.lastRoot); err != nil {
+	// The single install point: every round is staged and verified, so
+	// hold the staged state to the attested digest, then install it.
+	got, err := r.stage.StateDigest()
+	if err != nil {
 		return r.poison(mapRecoverErr(err))
 	}
-	t, err := r.pool.Tenant(r.id)
-	if err != nil {
-		return r.poison(err)
+	if !bytes.Equal(got[:], p) {
+		return r.poison(fmt.Errorf("%w: staged state digest does not match attested digest", ErrAttestation))
 	}
-	if got := t.StateDigest(); !bytes.Equal(got[:], p) {
-		return r.poison(fmt.Errorf("%w: applied state digest does not match attested digest", ErrAttestation))
+	if err := r.stage.Commit(); err != nil {
+		return r.poison(mapRecoverErr(err))
 	}
+	r.stage = nil
 	r.done = true
 	return nil
 }
@@ -218,11 +235,23 @@ func (r *Receiver) Done() bool { return r.done }
 // Ops returns the receiver's typed-rejection counters.
 func (r *Receiver) Ops() stats.MigrateOps { return r.ops }
 
-// poison records the first typed rejection and latches it.
+// poison records the first typed rejection, latches it, and discards
+// the staged state.
 func (r *Receiver) poison(err error) error {
 	r.failed = err
 	r.classify(err)
+	r.discard()
 	return err
+}
+
+// discard scrubs the staged rounds, if any; the destination pool never
+// saw them.
+func (r *Receiver) discard() {
+	if r.stage != nil {
+		r.stage.Abort()
+		r.stage = nil
+	}
+	r.buf = nil
 }
 
 func (r *Receiver) classify(err error) {

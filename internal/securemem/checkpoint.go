@@ -24,8 +24,9 @@ import (
 // journal is rejected as a rollback.
 //
 // Pages never touched since New need no records at all: the initial
-// encryption is a deterministic function of the keys, so Recover's fresh
-// System already holds their exact home-tier bytes.
+// encryption is a deterministic function of the keys, so recovery
+// re-creates their exact home-tier bytes (the Replayer encrypts just the
+// pages no record covers).
 
 // RecordPage is the journal record type of one page checkpoint record.
 // Payload layout (little-endian):
@@ -284,25 +285,91 @@ func pageRecordLen(g config.Geometry) (plain, split int) {
 // a journal whose counters disagree with the trusted tree roots as
 // ErrFreshness. cfg and keys must match the checkpointed system's
 // (Config/geometry disagreement shows up as record-size or root
-// mismatches, both typed).
+// mismatches, both typed). It is one Replayer pass: the whole journal is
+// one delta.
 func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
+	r, err := NewReplayer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Apply(journal, root); err != nil {
+		r.Discard()
+		return nil, err
+	}
+	return r.Finish()
+}
+
+// errReplayerSpent reports a Replayer used after Finish or Discard.
+var errReplayerSpent = errors.New("securemem: replayer already finished or discarded")
+
+// Replayer rebuilds a Salus system from its checkpoint journal one
+// committed delta at a time. It stages the system in private buffers,
+// so cfg.Backing is not touched until Finish installs the result there.
+// Each Apply replays one journal delta, updates only the tree leaves its
+// records touched, and holds the counters to that delta's trusted root.
+// Pages no record covers keep the deterministic initial state, whose
+// encryption is deferred to the first StateDigest or Finish: no page is
+// encrypted only to be overwritten by a record, and a journal that
+// covers every page (a full checkpoint) encrypts nothing.
+//
+// The first failed Apply latches: the staged state may be half-applied
+// and every later call returns the same error.
+type Replayer struct {
+	target  *Backing // cfg.Backing: where Finish installs the home tier
+	s       *System  // staged system; nil once finished or discarded
+	covered []bool   // home page -> holds replayed or initial ciphertext
+	err     error
+}
+
+// NewReplayer stages an empty Salus system for cfg at epoch 0. Nothing
+// is encrypted yet.
+func NewReplayer(cfg Config) (*Replayer, error) {
 	if cfg.Model != ModelSalus {
 		return nil, errors.New("securemem: Recover requires ModelSalus")
 	}
-	recs, err := crash.Replay(journal, root.Epoch)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	staged := cfg
+	staged.Backing = nil
+	s, err := newBare(staged)
 	if err != nil {
 		return nil, err
 	}
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
+	return &Replayer{target: cfg.Backing, s: s, covered: make([]bool, cfg.TotalPages)}, nil
+}
+
+// Apply replays the committed epochs of delta, which must start right
+// after the staged epoch's commit record and end at root.Epoch's, and
+// verifies the result against root (tree roots, then the badblock list
+// and epoch are adopted). Errors are typed as Recover's.
+func (r *Replayer) Apply(delta []byte, root TrustedRoot) error {
+	if r.err != nil {
+		return r.err
 	}
-	g := cfg.Geometry
+	if r.s == nil {
+		return errReplayerSpent
+	}
+	if err := r.apply(delta, root); err != nil {
+		r.err = err
+		return err
+	}
+	return nil
+}
+
+func (r *Replayer) apply(delta []byte, root TrustedRoot) error {
+	s := r.s
+	recs, err := crash.ReplaySince(delta, s.epoch, root.Epoch)
+	if err != nil {
+		return err
+	}
+	g := s.geo
 	plainLen, splitLen := pageRecordLen(g)
-	touchedSplit := map[int]bool{}
+	leaves := make([]bool, len(s.collapsed))
+	var splitChunks []bool
 	for _, rec := range recs {
 		if rec.Type != RecordPage {
-			return nil, fmt.Errorf("%w: unknown record type %#x", crash.ErrTornCheckpoint, rec.Type)
+			return fmt.Errorf("%w: unknown record type %#x", crash.ErrTornCheckpoint, rec.Type)
 		}
 		hasSplit := false
 		switch len(rec.Payload) {
@@ -310,14 +377,15 @@ func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 		case splitLen:
 			hasSplit = true
 		default:
-			return nil, fmt.Errorf("%w: page record of %d bytes, want %d or %d",
+			return fmt.Errorf("%w: page record of %d bytes, want %d or %d",
 				crash.ErrTornCheckpoint, len(rec.Payload), plainLen, splitLen)
 		}
 		page := binary.LittleEndian.Uint64(rec.Payload)
-		if page >= uint64(cfg.TotalPages) {
-			return nil, fmt.Errorf("%w: page record for out-of-range page %d", crash.ErrTornCheckpoint, page)
+		if page >= uint64(s.cfg.TotalPages) {
+			return fmt.Errorf("%w: page record for out-of-range page %d", crash.ErrTornCheckpoint, page)
 		}
 		p := int(page)
+		r.covered[p] = true
 		off := 8
 		copy(s.cxlData[p*g.PageSize:(p+1)*g.PageSize], rec.Payload[off:off+g.PageSize])
 		off += g.PageSize
@@ -333,12 +401,16 @@ func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 			chunk := chunkBase + c
 			major := binary.LittleEndian.Uint32(rec.Payload[off:])
 			s.collapsed[chunk/counters.CollapsedMajors].Majors[chunk%counters.CollapsedMajors] = major
+			leaves[chunk/counters.CollapsedMajors] = true
 			off += 4
 		}
 		off++ // split flag, already decoded from the length
 		if hasSplit {
 			if err := s.ensureSplitState(); err != nil {
-				return nil, err
+				return err
+			}
+			if splitChunks == nil {
+				splitChunks = make([]bool, len(s.cxlSplit))
 			}
 			for c := 0; c < g.ChunksPerPage(); c++ {
 				chunk := chunkBase + c
@@ -347,43 +419,118 @@ func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 				copy(sector[:], rec.Payload[off:off+32])
 				s.cxlSplit[chunk] = counters.DecodeCXLSplit(sector)
 				off += 32
-				touchedSplit[chunk] = true
+				splitChunks[chunk] = true
 			}
 		}
 	}
-	if err := s.rebuildHomeTrees(); err != nil {
-		return nil, err
+	for i, touched := range leaves {
+		if touched {
+			if err := s.cxlTree.Update(i, s.collapsed[i].Encode()); err != nil {
+				return err
+			}
+		}
 	}
 	if root.HasSplit && s.cxlSplit == nil {
 		// Split state existed but no committed record carried it (it was
 		// allocated but never populated); materialise the pristine tree so
 		// the root can be verified.
 		if err := s.ensureSplitState(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	for chunk := range touchedSplit {
-		if err := s.splitTree.Update(chunk, s.cxlSplit[chunk].Encode()); err != nil {
-			return nil, err
+	for chunk, touched := range splitChunks {
+		if touched {
+			if err := s.splitTree.Update(chunk, s.cxlSplit[chunk].Encode()); err != nil {
+				return err
+			}
 		}
 	}
 	// Verify the replayed counter state against the TCB roots; a journal
 	// that replays cleanly but encodes different counters is a forgery.
 	if s.cxlTree.Root() != root.CXLRoot {
-		return nil, fmt.Errorf("%w: recovered counters do not match trusted root", ErrFreshness)
+		return fmt.Errorf("%w: recovered counters do not match trusted root", ErrFreshness)
 	}
 	if root.HasSplit {
 		if s.splitTree == nil || s.splitTree.Root() != root.SplitRoot {
-			return nil, fmt.Errorf("%w: recovered split counters do not match trusted root", ErrFreshness)
+			return fmt.Errorf("%w: recovered split counters do not match trusted root", ErrFreshness)
 		}
 	} else if s.cxlSplit != nil {
-		return nil, fmt.Errorf("%w: journal carries split state the trusted root does not know", ErrFreshness)
+		return fmt.Errorf("%w: journal carries split state the trusted root does not know", ErrFreshness)
 	}
 	if err := s.applyTrustedBadblocks(root); err != nil {
-		return nil, err
+		return err
 	}
 	s.epoch = root.Epoch
+	return nil
+}
+
+// seal encrypts the pages no record covered under the initial counters,
+// exactly as New would have left them.
+func (r *Replayer) seal() error {
+	if err := r.s.encryptZeroPages(r.covered); err != nil {
+		return err
+	}
+	for i := range r.covered {
+		r.covered[i] = true
+	}
+	return nil
+}
+
+// StateDigest returns the StateDigest the staged system will have once
+// Finish installs it, so a caller can hold the staged state to an
+// attested digest before anything reaches the backing.
+func (r *Replayer) StateDigest() ([32]byte, error) {
+	if r.err != nil {
+		return [32]byte{}, r.err
+	}
+	if r.s == nil {
+		return [32]byte{}, errReplayerSpent
+	}
+	if err := r.seal(); err != nil {
+		r.err = err
+		return [32]byte{}, err
+	}
+	return r.s.StateDigest(), nil
+}
+
+// Finish completes the staged system and returns it. With a Backing in
+// the config, the home tier is copied into its window, the device window
+// is zeroed, and the private staging buffer is scrubbed, so the returned
+// system's ciphertext lives only in the backing. The Replayer is spent
+// afterwards.
+func (r *Replayer) Finish() (*System, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.s == nil {
+		return nil, errReplayerSpent
+	}
+	if err := r.seal(); err != nil {
+		r.err = err
+		return nil, err
+	}
+	s := r.s
+	r.s = nil
+	s.ckptDirty = make([]bool, s.cfg.TotalPages)
+	if b := r.target; b != nil {
+		copy(b.Home, s.cxlData)
+		clear(b.Device)
+		clear(s.cxlData)
+		s.cxlData, s.devData = b.Home, b.Device
+		s.cfg.Backing = b
+	}
 	return s, nil
+}
+
+// Discard scrubs the staged home tier and spends the Replayer; the
+// backing was never touched. The staged device tier needs no scrub:
+// replay never makes a page resident. Discard after Finish is a no-op.
+func (r *Replayer) Discard() {
+	if r.s == nil {
+		return
+	}
+	clear(r.s.cxlData)
+	r.s = nil
 }
 
 // StateDigest hashes the durable (home-tier plus TCB badblock) state of a

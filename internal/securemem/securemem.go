@@ -288,6 +288,29 @@ type System struct {
 // home tier, already encrypted under the initial counters for the secure
 // models.
 func New(cfg Config) (*System, error) {
+	s, err := newBare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Model == ModelNone {
+		return s, nil
+	}
+	if err := s.initialEncrypt(); err != nil {
+		return nil, err
+	}
+	if cfg.Model == ModelSalus {
+		// Allocated after initialEncrypt so the deterministic initial
+		// state counts as clean: untouched pages need no journal records.
+		s.ckptDirty = make([]bool, cfg.TotalPages)
+	}
+	return s, nil
+}
+
+// newBare builds a System whose metadata and trees describe the initial
+// (all-zero) counters but whose home tier is still zero-filled
+// plaintext: New encrypts it next, and the journal Replayer encrypts
+// only the pages no record covers.
+func newBare(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -354,12 +377,6 @@ func New(cfg Config) (*System, error) {
 		}
 		s.cxlTree.SetTrustCache(trustCacheEntries)
 		s.devTree.SetTrustCache(trustCacheEntries)
-		if err := s.initialEncrypt(); err != nil {
-			return nil, err
-		}
-		// Allocated after initialEncrypt so the deterministic initial
-		// state counts as clean: untouched pages need no journal records.
-		s.ckptDirty = make([]bool, cfg.TotalPages)
 	case ModelConventional:
 		homeSectors := cfg.TotalPages * g.SectorsPerPage()
 		devSectors := cfg.DevicePages * g.SectorsPerPage()
@@ -377,9 +394,6 @@ func New(cfg Config) (*System, error) {
 		}
 		s.convCXLTree.SetTrustCache(trustCacheEntries)
 		s.convDevTree.SetTrustCache(trustCacheEntries)
-		if err := s.initialEncrypt(); err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("securemem: unknown model %d", cfg.Model)
 	}
@@ -388,10 +402,20 @@ func New(cfg Config) (*System, error) {
 
 // initialEncrypt converts the zero-filled home store into valid ciphertext
 // under the initial (zero) counters, with matching MACs, so that the very
-// first read of any sector verifies. Both secure models start with every
-// (major, minor) pair at zero, so whole pages encrypt through the batch
-// path (one IV encode per run) and the MACs ride a pinned Session scratch.
+// first read of any sector verifies.
 func (s *System) initialEncrypt() error {
+	if err := s.encryptZeroPages(nil); err != nil {
+		return err
+	}
+	return s.rebuildHomeTrees()
+}
+
+// encryptZeroPages encrypts every zero-filled home page whose skip entry
+// is false (every page when skip is nil) under the initial counters and
+// stores its MACs. Both secure models start with every (major, minor)
+// pair at zero, so whole pages encrypt through the batch path (one IV
+// encode per run) and the MACs ride a pinned Session scratch.
+func (s *System) encryptZeroPages(skip []bool) error {
 	ss := s.geo.SectorSize
 	ps := s.geo.PageSize
 	spp := s.geo.SectorsPerPage()
@@ -399,6 +423,9 @@ func (s *System) initialEncrypt() error {
 	minors := make([]uint64, spp)
 	sess := s.eng.NewSession()
 	for page := 0; page < s.cfg.TotalPages; page++ {
+		if skip != nil && skip[page] {
+			continue
+		}
 		base := page * ps
 		pg := s.cxlData[base : base+ps]
 		if err := s.eng.EncryptSectors(buf, pg, uint64(base), 0, minors); err != nil {
@@ -416,7 +443,7 @@ func (s *System) initialEncrypt() error {
 			}
 		}
 	}
-	return s.rebuildHomeTrees()
+	return nil
 }
 
 // homeCounterPair returns the current (major, minor) for a home-tier

@@ -167,6 +167,99 @@ func TestFullCheckpointSelfContained(t *testing.T) {
 	}
 }
 
+// TestStagedRecoveryInstallsOnlyOnCommit: a staged recovery leaves the
+// live tenant serving and its backing window untouched until Commit; a
+// failed recovery or an Abort leaves the tenant as it was; Commit on a
+// tenant destroyed meanwhile fails ErrTenantClosed.
+func TestStagedRecoveryInstallsOnlyOnCommit(t *testing.T) {
+	src := newTestPool(t)
+	a := tn(t, src, "a")
+	msg := []byte("carried by the staged journal")
+	if err := a.Write(3*4096+5, msg); err != nil {
+		t.Fatal(err)
+	}
+	store := crash.NewMemStore()
+	root, err := a.FullCheckpoint(crash.NewJournal(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dst := newTestPool(t)
+	da := tn(t, dst, "a")
+	live := []byte("the destination's own bytes")
+	if err := da.Write(0, live); err != nil {
+		t.Fatal(err)
+	}
+	window := append([]byte(nil), da.memCfg.Backing.Home...)
+	digest := da.StateDigest()
+	same := func(what string) {
+		t.Helper()
+		if da.Epoch() != 0 || da.StateDigest() != digest || !bytes.Equal(da.memCfg.Backing.Home, window) {
+			t.Fatalf("%s changed the live tenant", what)
+		}
+	}
+
+	st, err := dst.StageRecovery("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Apply(store.Bytes(), root); err != nil {
+		t.Fatal(err)
+	}
+	staged, err := st.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if staged != a.StateDigest() {
+		t.Fatal("staged digest differs from the source's")
+	}
+	same("a staged apply")
+	st.Abort()
+	same("an abort")
+
+	forged := root
+	forged.CXLRoot[0] ^= 1
+	if err := dst.RecoverTenant("a", store.Bytes(), forged); !errors.Is(err, securemem.ErrFreshness) {
+		t.Fatalf("recover with a forged root: %v, want ErrFreshness", err)
+	}
+	same("a refused recovery")
+
+	st, err = dst.StageRecovery("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Apply(store.Bytes(), root); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(msg))
+	if err := da.Read(3*4096+5, got); err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("read after commit: %v, %q", err, got)
+	}
+	if da.StateDigest() != staged || da.Stats().Recovers != 1 {
+		t.Fatal("commit did not install the staged state")
+	}
+
+	st, err = dst.StageRecovery("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Apply(store.Bytes(), root); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.DestroyTenant("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(); !errors.Is(err, ErrTenantClosed) {
+		t.Fatalf("commit after destroy: %v, want ErrTenantClosed", err)
+	}
+	if !allZero(da.memCfg.Backing.Home) {
+		t.Fatal("commit after destroy wrote into the scrubbed window")
+	}
+}
+
 // TestMigrationKeyDerivation pins the transport-secret contract: equal
 // across pools built from the same masters (the attestation
 // precondition), distinct per tenant, and disjoint from the storage MAC

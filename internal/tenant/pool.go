@@ -136,23 +136,79 @@ func (p *Pool) Stats() []stats.TenantOps {
 }
 
 // RecoverTenant rebuilds one tenant from its checkpoint journal and
-// trusted root, swapping the recovered engine in under the tenant's
-// exclusive lock. Only that tenant's backing window is rewritten; every
-// sibling keeps serving from its own domain while the recovery runs —
-// that containment is exactly what the chaos campaign's blast-radius
-// oracle asserts.
+// trusted root: one staged recovery with the whole journal as its only
+// delta. Only that tenant's backing window is rewritten, and only once
+// the journal has verified; every sibling keeps serving from its own
+// domain throughout — that containment is exactly what the chaos
+// campaign's blast-radius oracle asserts.
 func (p *Pool) RecoverTenant(id string, journal []byte, root securemem.TrustedRoot) error {
-	t, err := p.Tenant(id)
+	st, err := p.StageRecovery(id)
 	if err != nil {
 		return err
 	}
+	if err := st.Apply(journal, root); err != nil {
+		st.Abort()
+		return err
+	}
+	return st.Commit()
+}
+
+// StageRecovery begins rebuilding tenant id off to the side: the
+// returned Staging replays journal deltas into private buffers under the
+// tenant's own keys, which never leave the tenant, while the live engine
+// keeps serving untouched. Commit installs the result; Abort discards it.
+func (p *Pool) StageRecovery(id string) (*Staging, error) {
+	t, err := p.Tenant(id)
+	if err != nil {
+		return nil, err
+	}
+	t.state.RLock()
+	defer t.state.RUnlock()
+	if t.eng == nil {
+		return nil, fmt.Errorf("%w: cannot recover %q", ErrTenantClosed, id)
+	}
+	rep, err := securemem.NewReplayer(t.memCfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Staging{t: t, rep: rep}, nil
+}
+
+// Staging is one tenant recovery in progress (see Pool.StageRecovery).
+// It is not safe for concurrent use.
+type Staging struct {
+	t   *Tenant
+	rep *securemem.Replayer
+}
+
+// Apply replays one committed journal delta — the bytes after the
+// previous delta's commit record, up to root's — and verifies the staged
+// counters against root. Errors are typed as securemem.Recover's; after
+// one, the staging is unusable.
+func (st *Staging) Apply(delta []byte, root securemem.TrustedRoot) error {
+	return st.rep.Apply(delta, root)
+}
+
+// StateDigest returns the digest the tenant will report once Commit
+// installs the staged state.
+func (st *Staging) StateDigest() ([32]byte, error) { return st.rep.StateDigest() }
+
+// Commit installs the staged state under the tenant's exclusive lock:
+// the home tier is copied into the slice's own backing window, the
+// private staging buffer is scrubbed, and the rebuilt engine replaces
+// the live one. A tenant destroyed meanwhile fails ErrTenantClosed and
+// the staging is discarded.
+func (st *Staging) Commit() error {
+	t := st.t
 	t.state.Lock()
 	defer t.state.Unlock()
 	if t.eng == nil {
-		return fmt.Errorf("%w: cannot recover %q", ErrTenantClosed, id)
+		st.rep.Discard()
+		return fmt.Errorf("%w: cannot recover %q", ErrTenantClosed, t.id)
 	}
-	sys, err := securemem.Recover(t.memCfg, journal, root)
+	sys, err := st.rep.Finish()
 	if err != nil {
+		st.rep.Discard()
 		return err
 	}
 	t.eng = securemem.ConcurrentFrom(sys, t.shards)
@@ -161,6 +217,10 @@ func (p *Pool) RecoverTenant(id string, journal []byte, root securemem.TrustedRo
 	t.mu.Unlock()
 	return nil
 }
+
+// Abort scrubs the staged state; the tenant was never touched. Abort
+// after Commit is a no-op.
+func (st *Staging) Abort() { st.rep.Discard() }
 
 // DestroyTenant retires one tenant: under the tenant's exclusive lock
 // it zeroizes the derived key material, scrubs the tenant's home and

@@ -21,7 +21,7 @@ import (
 //
 // Lock order: state -> mu -> the engine's internal locks. state guards
 // the engine pointer (held shared across every delegated op, exclusively
-// only while Pool.RecoverTenant swaps in a recovered engine); mu guards
+// only while a staged recovery's Commit swaps in the rebuilt engine); mu guards
 // the op counters, whose in-slice attempt count clocks the admission
 // bucket (the bucket's own lock nests inside mu).
 type Tenant struct {
