@@ -50,7 +50,8 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 	devPages := fs.Int("devpages", def.DevicePages, "device frames (< pages keeps miss traffic up)")
 	queueCap := fs.Int("queuecap", def.QueueCap, "dirty-writeback queue capacity")
 	chaos := fs.Bool("chaos", true, "inject combined chaos (faults + link outages + crash/recover); false runs a healthy baseline")
-	slo := fs.Float64("slo", def.SLO[serve.Interactive], "interactive availability floor asserted on the campaign aggregate (0 disables)")
+	slo := fs.Float64("slo", def.SLO[serve.Interactive], fmt.Sprintf(
+		"interactive availability floor asserted on the campaign aggregate (0 disables; under chaos asserted from %d sessions on)", check.MinSLOSeeds))
 	report := fs.Bool("report", false, "print per-class outcome and latency (p50/p90/p99/p999) tables")
 	verbose := fs.Bool("v", false, "print per-session progress")
 	if err := fs.Parse(args); err != nil {
@@ -94,8 +95,12 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 1
 	}
-	fmt.Fprintf(stdout, "salus-serve: %d sessions, %d streams, %d requests: interactive availability %.4f (floor %.2f)\n",
-		res.SeedsRun, res.Streams, res.Ops, res.Aggregate.Availability(serve.Interactive), *slo)
+	floor := fmt.Sprintf("floor %.2f", *slo)
+	if !plan.SLOAsserted() {
+		floor += fmt.Sprintf(", asserted from %d sessions", check.MinSLOSeeds)
+	}
+	fmt.Fprintf(stdout, "salus-serve: %d sessions, %d streams, %d requests: interactive availability %.4f (%s)\n",
+		res.SeedsRun, res.Streams, res.Ops, res.Aggregate.Availability(serve.Interactive), floor)
 	fmt.Fprintf(stdout, "salus-serve: chaos: %d checkpoints (%d refused typed), %d crashes, %d link outages, %d tainted bytes\n",
 		res.Checkpoints, res.CheckpointRefusals, res.Crashes, res.Outages, res.TaintedBytes)
 	if *report {

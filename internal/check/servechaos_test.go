@@ -66,12 +66,17 @@ func TestServeChaosHealthyBaseline(t *testing.T) {
 }
 
 // TestServeChaosSLOEnforced pins that the SLO floor is a real assertion:
-// an impossible floor must turn an otherwise clean campaign into a
-// failure typed as an SLO miss.
+// an impossible floor must turn an otherwise clean campaign of
+// MinSLOSeeds seeds into a failure typed as an SLO miss. Below that seed
+// count a chaos campaign only reports availability.
 func TestServeChaosSLOEnforced(t *testing.T) {
 	plan := DefaultServePlan()
-	plan.Seeds = 1
+	plan.Seeds = MinSLOSeeds - 1
 	plan.SLO[serve.Bulk] = 1.01 // unattainable by construction
+	if res := RunServe(plan); res.Failed() {
+		t.Fatalf("floor asserted under chaos at %d seeds: %v", plan.Seeds, res.Violations)
+	}
+	plan.Seeds = MinSLOSeeds
 	res := RunServe(plan)
 	if !res.Failed() {
 		t.Fatal("impossible SLO floor did not fail the campaign")

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -171,6 +172,14 @@ func (l *Loader) parseDir(dir string, includeTests bool) (map[string][]*ast.File
 			continue
 		}
 		if !includeTests && strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		// Skip files the go tool would not build here (//go:build lines,
+		// _GOOS/_GOARCH suffixes), so tag-selected variants of one
+		// declaration never meet in one type-check.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		file, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

@@ -10,18 +10,25 @@ import (
 )
 
 // LockDiscipline enforces the locking convention of mutex-bearing types:
-// an exported method on a struct that embeds a sync.Mutex/RWMutex must
-// acquire that mutex before touching any sibling field. The check is
-// interprocedural: an exported method that launders the access through
-// an unexported helper (which, per convention, relies on the caller's
-// lock) is flagged at the exported entry point, with the helper chain in
-// the message. It also watches the known escape hatch pattern in tests —
-// calling an Unwrap-style method (which hands out the unsynchronized
-// inner value) while spawned goroutines may still be running — and flags
-// home-tier operations issued while a writeback-queue mutex is held: the
-// home tier sits across the CXL link, whose transfers can stall in
-// retry/backoff or an outage, and a queue lock held across that stall
-// starves every device-resident access that only wanted the queue.
+// an exported method on a struct that carries a lock field — a
+// sync.Mutex/RWMutex, or a slice or array of values that carry one
+// (striped locks) — must acquire a lock field before touching any
+// sibling field. Acquiring means calling Lock/RLock on the field, on an
+// element of it (recv.shards[i].mu.Lock()), or calling a same-type
+// helper that does so and returns without releasing it (lockRange-style
+// helpers). Fields that synchronise themselves — sync/atomic values and
+// structs carrying their own mutex — are not guarded by the outer lock.
+// The check is interprocedural: an exported method that launders the
+// access through an unexported helper (which, per convention, relies on
+// the caller's lock) is flagged at the exported entry point, with the
+// helper chain in the message. It also watches the known escape hatch
+// pattern in tests — calling an Unwrap-style method (which hands out the
+// unsynchronized inner value) while spawned goroutines may still be
+// running — and flags home-tier operations issued while a writeback-queue
+// mutex is held: the home tier sits across the CXL link, whose transfers
+// can stall in retry/backoff or an outage, and a queue lock held across
+// that stall starves every device-resident access that only wanted the
+// queue.
 type LockDiscipline struct{}
 
 // Name implements Analyzer.
@@ -59,10 +66,10 @@ func (a LockDiscipline) RunProgram(prog *Program) []Finding {
 	return out
 }
 
-// guardedType records a struct carrying one or more mutex fields.
+// guardedType records a struct carrying one or more lock fields.
 type guardedType struct {
-	mutexFields map[string]bool // field names of sync.Mutex / sync.RWMutex
-	dataFields  map[string]bool // every other field: guarded by convention
+	mutexFields map[string]bool // lock fields: mutexes and striped mutex slices/arrays
+	dataFields  map[string]bool // fields guarded by convention (not self-synchronising)
 }
 
 // typeKey names a named type across package loads.
@@ -93,9 +100,12 @@ func (LockDiscipline) guardedTypes(pkg *Package) map[*types.Named]*guardedType {
 		g := &guardedType{mutexFields: map[string]bool{}, dataFields: map[string]bool{}}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			if isSyncMutex(f.Type()) {
+			switch {
+			case isLockField(f.Type()):
 				g.mutexFields[f.Name()] = true
-			} else {
+			case selfSynced(f.Type()):
+				// Guards itself; the outer lock has no say over it.
+			default:
 				g.dataFields[f.Name()] = true
 			}
 		}
@@ -115,6 +125,53 @@ func isSyncMutex(t types.Type) bool {
 	return n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex"
 }
 
+// isLockField reports whether a field of type t is a lock of its
+// struct: a mutex, or a slice or array whose elements are or carry one
+// (one lock per stripe or shard).
+func isLockField(t types.Type) bool {
+	if isSyncMutex(t) {
+		return true
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		return carriesMutex(u.Elem())
+	case *types.Array:
+		return carriesMutex(u.Elem())
+	}
+	return false
+}
+
+// carriesMutex reports whether t is a mutex or a struct with a mutex
+// field.
+func carriesMutex(t types.Type) bool {
+	if isSyncMutex(t) {
+		return true
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if isSyncMutex(st.Field(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// selfSynced reports whether a value of type t synchronises itself: a
+// sync/atomic type, a struct carrying its own mutex, or an array of
+// either.
+func selfSynced(t types.Type) bool {
+	if n := namedType(t); n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic" {
+		return true
+	}
+	if a, ok := t.Underlying().(*types.Array); ok {
+		return selfSynced(a.Elem())
+	}
+	return carriesMutex(t)
+}
+
 // ldTouch summarizes how a non-locking method reaches guarded data: the
 // first field touched, and the helper chain it goes through ("" for a
 // direct touch).
@@ -129,8 +186,31 @@ type ldTouch struct {
 // (unexported helpers rely on the caller's lock by convention, so the
 // finding lands on the exported entry point that broke the contract).
 func (a LockDiscipline) checkMethods(prog *Program, guarded map[string]*guardedType) []Finding {
+	// acquirers holds the methods that return with a lock field held:
+	// they lock and never unlock one. A call to a same-type acquirer
+	// counts as locking.
+	acquirers := map[string]bool{}
+	for _, fn := range prog.Functions() {
+		if _, g, recvName := a.methodContext(fn, guarded); g != nil {
+			locks, unlocks, _ := a.scanMethodBody(fn, g, recvName)
+			if locks && !unlocks {
+				acquirers[fn.FullName()] = true
+			}
+		}
+	}
+	callsAcquirer := func(fn *FuncNode, named *types.Named) bool {
+		for _, site := range fn.Calls {
+			for _, target := range site.Targets {
+				if target != fn && acquirers[target.FullName()] && typeKeyOfRecv(target.Obj) == typeKey(named) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
 	// touches[funcKey] is the summary of a method that reaches guarded
-	// data without locking; methods that acquire their mutex contribute
+	// data without locking; methods that acquire a lock contribute
 	// nothing (their accesses and callees run under the lock).
 	touches := map[string]*ldTouch{}
 	prog.Fixpoint(func(fn *FuncNode) bool {
@@ -142,8 +222,8 @@ func (a LockDiscipline) checkMethods(prog *Program, guarded map[string]*guardedT
 		if g == nil || recvName == "" {
 			return false
 		}
-		locks, touched := a.scanMethodBody(fn, g, recvName)
-		if locks {
+		locks, _, touched := a.scanMethodBody(fn, g, recvName)
+		if locks || callsAcquirer(fn, named) {
 			return false
 		}
 		if len(touched) > 0 {
@@ -239,36 +319,50 @@ func typeKeyOfRecv(fn *types.Func) string {
 	return typeKey(namedType(t))
 }
 
-// scanMethodBody reports whether the method acquires one of its mutex
-// fields, and which guarded data fields it touches through the receiver,
-// in source order.
-func (LockDiscipline) scanMethodBody(fn *FuncNode, g *guardedType, recvName string) (locks bool, touched []*ast.SelectorExpr) {
+// scanMethodBody reports whether the method acquires and whether it
+// releases one of its lock fields (or an element of one), and which
+// guarded data fields it touches through the receiver, in source order.
+func (LockDiscipline) scanMethodBody(fn *FuncNode, g *guardedType, recvName string) (locks, unlocks bool, touched []*ast.SelectorExpr) {
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		// recv.mu.Lock() etc. appears as (recv.mu).Lock — the inner
-		// selector is recv.mu, whose parent carries the method name.
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == recvName {
-			switch {
-			case g.mutexFields[sel.Sel.Name]:
-				// A bare recv.mu reference inside Lock/Unlock calls.
-			case g.dataFields[sel.Sel.Name]:
-				touched = append(touched, sel)
-			}
-		}
-		if inner, ok := sel.X.(*ast.SelectorExpr); ok {
-			if id, ok := inner.X.(*ast.Ident); ok && id.Name == recvName && g.mutexFields[inner.Sel.Name] {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && g.mutexFields[recvField(sel.X, recvName)] {
 				switch sel.Sel.Name {
 				case "Lock", "RLock":
 					locks = true
+				case "Unlock", "RUnlock":
+					unlocks = true
 				}
+			}
+		}
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == recvName && g.dataFields[sel.Sel.Name] {
+				touched = append(touched, sel)
 			}
 		}
 		return true
 	})
-	return locks, touched
+	return locks, unlocks, touched
+}
+
+// recvField returns the receiver field an expression is rooted at —
+// "shards" for recv.shards[i].mu, "mu" for recv.mu — or "" when the
+// expression does not start at the receiver.
+func recvField(e ast.Expr, recvName string) string {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok && id.Name == recvName {
+				return x.Sel.Name
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return ""
+		}
+	}
 }
 
 // homeTierCalls names the operations whose latency is bounded by the CXL

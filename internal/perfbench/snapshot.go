@@ -126,28 +126,29 @@ type CompareOptions struct {
 }
 
 // DefaultCompareOptions are the thresholds `make bench-compare` runs
-// with, chosen to hold on a single-core CI host where the sharded
-// design can only win by contention avoidance (the gap widens to
-// multi-x with real CPU parallelism; the gomaxprocs/num_cpu fields are
-// recorded alongside so a snapshot is interpretable):
+// with, set against the snapshot recorded on a 2-CPU host (the
+// gomaxprocs/num_cpu fields are recorded alongside so a snapshot is
+// interpretable):
 //
-//   - The read-heavy floor sits under the ~1.05-1.2x a single-core host
-//     measures (multi-x with real cores) but above the ~0.85x the ratio
-//     falls to if multi-shard locking degenerates — e.g. lockRange
-//     taking every shard on every access, or the wrapper regrowing a
-//     global bottleneck.
-//   - The mixed workload serialises on the shared integrity-tree mutex
-//     during writes, so on one core its ratio hovers at parity; its
-//     floor is a non-collapse guard, not a speedup claim.
-//   - The batched-encrypt floor likewise guards "never slower than the
-//     per-sector loop" with margin for single-core frequency drift;
-//     most of the batch win on this host went into making both paths
-//     allocation-free, which the alloc gate holds instead.
+//   - The read-heavy floor is a non-collapse guard: it sits well under
+//     the ~2x measured with two CPUs (and the ~1.05-1.2x a single-core
+//     host measures) but above the ~0.85x the ratio falls to if
+//     multi-shard locking degenerates — e.g. lockRange taking every
+//     shard on every access, or the wrapper regrowing a global
+//     bottleneck.
+//   - The mixed floor is a speedup claim. Each shard owns its device
+//     integrity subtree, so writes on disjoint shards no longer meet on
+//     a shared tree mutex; the ratio went from 0.90x to ~2.2-2.5x with
+//     two CPUs, and 1.5x holds that with margin for host noise.
+//   - The batched-encrypt floor guards "never slower than the
+//     per-sector loop" with margin for frequency drift; most of the
+//     batch win went into making both paths allocation-free, which the
+//     alloc gate holds instead.
 func DefaultCompareOptions() CompareOptions {
 	return CompareOptions{
 		MaxSlowdown:            2.5,
 		MinReadHeavySpeedup:    0.98,
-		MinMixedSpeedup:        0.9,
+		MinMixedSpeedup:        1.5,
 		MinBatchEncryptSpeedup: 0.95,
 		MaxCryptoAllocs:        0,
 	}

@@ -3,7 +3,6 @@ package securemem
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/salus-sim/salus/internal/fault"
 )
@@ -18,7 +17,7 @@ func (s *System) Read(addr HomeAddr, buf []byte) error {
 	if uint64(addr) > s.Size() || uint64(len(buf)) > s.Size()-uint64(addr) {
 		return ErrOutOfRange
 	}
-	bump(&s.stats.Reads)
+	bump(&s.pageState(addr.Page(s.geo.PageSize)).reads)
 	ss := uint64(s.geo.SectorSize)
 	base := uint64(addr)
 	for off := uint64(0); off < uint64(len(buf)); {
@@ -44,7 +43,7 @@ func (s *System) Write(addr HomeAddr, data []byte) error {
 	if uint64(addr) > s.Size() || uint64(len(data)) > s.Size()-uint64(addr) {
 		return ErrOutOfRange
 	}
-	bump(&s.stats.Writes)
+	bump(&s.pageState(addr.Page(s.geo.PageSize)).writes)
 	ss := uint64(s.geo.SectorSize)
 	base := uint64(addr)
 	for off := uint64(0); off < uint64(len(data)); {
@@ -107,7 +106,7 @@ func (s *System) accessSector(addr HomeAddr, out []byte, isWrite bool, in []byte
 			}
 		}
 		f := &s.frames[fi]
-		f.lru = atomic.AddUint64(&s.lruClock, 1)
+		f.lru = s.frameState(fi).tick()
 
 		devAddr := FrameAddr(fi, s.geo.PageSize, addr.PageOffset(s.geo.PageSize))
 		if err := s.gate(fault.TierDevice, uint64(devAddr), isWrite); err != nil {
@@ -216,7 +215,7 @@ func (s *System) migrateIn(page int) (int, error) {
 	f := &s.frames[fi]
 	*f = frame{homePage: page}
 	s.pageTable[page] = fi
-	f.lru = atomic.AddUint64(&s.lruClock, 1)
+	f.lru = s.frameState(fi).tick()
 
 	src := s.cxlData[page*s.geo.PageSize : (page+1)*s.geo.PageSize]
 	dst := s.devData[fi*s.geo.PageSize : (fi+1)*s.geo.PageSize]

@@ -60,7 +60,9 @@ func (s *System) Epoch() uint64 { return s.epoch }
 // chokepoints every home mutation funnels through: storeHomeMAC (data and
 // MAC changes) and salusSetHomeMajor (counter changes).
 func (s *System) markCkptDirty(page int) {
-	if s.ckptDirty != nil && page >= 0 && page < len(s.ckptDirty) {
+	// Test before setting: neighbouring pages belong to other shards, and
+	// a store on every write would bounce their shared cache line.
+	if s.ckptDirty != nil && page >= 0 && page < len(s.ckptDirty) && !s.ckptDirty[page] {
 		s.ckptDirty[page] = true
 	}
 }

@@ -13,31 +13,58 @@ import (
 // sharded lock design: the home space is partitioned into nShards page
 // groups (page p belongs to shard p % nShards, see shard.go), each with
 // its own mutex, so accesses that touch different shards proceed in
-// parallel — the single-mutex design this replaces serialised every read
-// behind one global lock. Two lock layers compose:
+// parallel. A shard lock guards everything of its shard: its frames and
+// pages, and its shardState (device integrity subtree, LRU clock and
+// access counters). The locking rules:
 //
-//   - c.mu (RWMutex): address-granular operations hold it shared;
-//     whole-system operations (Flush, Checkpoint, Suspend, the drain
-//     loop, Stats) hold it exclusively, which quiesces every in-flight
-//     access without touching a single shard lock.
-//   - c.shards[i].mu: an address operation locks exactly the shards its
-//     byte range touches, always in ascending shard order, so
-//     multi-shard acquisitions cannot deadlock against each other.
+//   - An address operation locks exactly the shards its byte range
+//     touches, always in ascending shard order, so multi-shard
+//     acquisitions cannot deadlock against each other.
+//   - A whole-system operation (Flush, Checkpoint, Suspend, Stats,
+//     StateDigest, the attaches, each drain step) locks every shard in
+//     ascending order, which quiesces every in-flight access.
+//   - The immutable queries (Size, Model, Shards, ShardOf) take no lock.
 //
-// The lock order is therefore Concurrent.mu -> shardLock.mu -> the
+// The lock order is therefore shardLock.mu (ascending) -> the
 // System-internal leaf locks (sysLocks fields, bmt.Tree.mu); nothing in
 // the package acquires them in any other order.
 type Concurrent struct {
-	mu     sync.RWMutex
+	layout
 	shards []shardLock
 	sys    *System
+}
+
+// layout is the part of a Concurrent fixed at construction. It carries
+// no lock because nothing ever writes it after NewConcurrent or
+// ConcurrentFrom returns.
+type layout struct {
+	size     uint64 // home address-space size in bytes
+	pageSize uint64
+	nShards  int
+	model    Model
+}
+
+// Size returns the home address-space size in bytes.
+func (l layout) Size() uint64 { return l.size }
+
+// Model returns the active protection model.
+func (l layout) Model() Model { return l.model }
+
+// Shards reports how many page shards the lock design is using.
+func (l layout) Shards() int { return l.nShards }
+
+// ShardOf returns the shard owning the page of addr. Addresses past the
+// end map into range too, so callers may use it as a stripe key before
+// any bounds check.
+func (l layout) ShardOf(addr HomeAddr) int {
+	return int(uint64(addr) / l.pageSize % uint64(l.nShards))
 }
 
 // shardLock is one shard's mutex, padded out to its own cache line so
 // adjacent shards do not false-share under contention.
 type shardLock struct {
 	mu sync.Mutex
-	_  [56]byte
+	_  [cacheLine - 8]byte
 }
 
 // NewConcurrent builds a protected memory safe for concurrent use. The
@@ -49,10 +76,7 @@ func NewConcurrent(cfg Config) (*Concurrent, error) {
 		return nil, err
 	}
 	sys.configureSharding(cfg.Shards)
-	return &Concurrent{
-		shards: make([]shardLock, sys.Shards()),
-		sys:    sys,
-	}, nil
+	return wrap(sys), nil
 }
 
 // ConcurrentFrom wraps an existing System — typically one produced by
@@ -72,35 +96,42 @@ func ConcurrentFrom(sys *System, shards int) *Concurrent {
 	if !resident {
 		sys.configureSharding(shards)
 	}
+	return wrap(sys)
+}
+
+// wrap builds the Concurrent over a System whose sharding is final.
+func wrap(sys *System) *Concurrent {
 	return &Concurrent{
+		layout: layout{
+			size:     sys.Size(),
+			pageSize: uint64(sys.geo.PageSize),
+			nShards:  sys.Shards(),
+			model:    sys.Model(),
+		},
 		shards: make([]shardLock, sys.Shards()),
 		sys:    sys,
 	}
 }
 
-// AttachFaults is a goroutine-safe System.AttachFaults: the writer lock
-// quiesces every in-flight access before the injector is armed, so no
-// access can observe a half-attached fault model.
+// AttachFaults is a goroutine-safe System.AttachFaults: every shard lock
+// quiesces in-flight accesses before the injector is armed, so no access
+// can observe a half-attached fault model.
 func (c *Concurrent) AttachFaults(inj fault.Injector, policy RetryPolicy, clock *sim.Engine) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockRange(c.lockAll())
 	c.sys.AttachFaults(inj, policy, clock)
 }
 
 // AttachLink is a goroutine-safe System.AttachLink, quiescing in-flight
 // accesses for the same reason as AttachFaults.
 func (c *Concurrent) AttachLink(l *link.Link, clock *sim.Engine, queueCap int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockRange(c.lockAll())
 	c.sys.AttachLink(l, clock, queueCap)
 }
 
-// ForceLinkUp is a goroutine-safe operator link reset; it may run while
-// traffic is in flight (the link consultation itself is serialised under
-// the System's hardware lock).
+// ForceLinkUp is a goroutine-safe operator link reset. It waits out the
+// in-flight accesses, which is what orders it against AttachLink.
 func (c *Concurrent) ForceLinkUp() {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	defer c.unlockRange(c.lockAll())
 	c.sys.ForceLinkUp()
 }
 
@@ -119,22 +150,17 @@ func (c *Concurrent) lockRange(base, n uint64) uint64 {
 	if n == 0 {
 		n = 1
 	}
-	all := (uint64(1) << uint(ns)) - 1
+	if base >= c.size || n > c.size-base {
+		return c.lockAll()
+	}
+	first := base / c.pageSize
+	last := (base + n - 1) / c.pageSize
+	if last-first+1 >= uint64(ns) {
+		return c.lockAll()
+	}
 	var mask uint64
-	size := c.sys.Size()
-	if base >= size || n > size-base {
-		mask = all
-	} else {
-		ps := uint64(c.sys.geo.PageSize)
-		first := base / ps
-		last := (base + n - 1) / ps
-		if last-first+1 >= uint64(ns) {
-			mask = all
-		} else {
-			for p := first; p <= last; p++ {
-				mask |= uint64(1) << uint(p%uint64(ns))
-			}
-		}
+	for p := first; p <= last; p++ {
+		mask |= uint64(1) << uint(p%uint64(ns))
 	}
 	for i := 0; i < ns; i++ {
 		if mask&(uint64(1)<<uint(i)) != 0 {
@@ -144,7 +170,16 @@ func (c *Concurrent) lockRange(base, n uint64) uint64 {
 	return mask
 }
 
-// unlockRange releases the shards lockRange locked.
+// lockAll locks every shard in ascending order and returns the held set
+// for unlockRange: the whole-system exclusion.
+func (c *Concurrent) lockAll() uint64 {
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+	return (uint64(1) << uint(len(c.shards))) - 1
+}
+
+// unlockRange releases the shards lockRange or lockAll locked.
 func (c *Concurrent) unlockRange(mask uint64) {
 	for i := len(c.shards) - 1; i >= 0; i-- {
 		if mask&(uint64(1)<<uint(i)) != 0 {
@@ -156,8 +191,6 @@ func (c *Concurrent) unlockRange(mask uint64) {
 // Read is a goroutine-safe System.Read; reads of pages in different
 // shards run in parallel.
 func (c *Concurrent) Read(addr HomeAddr, buf []byte) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	mask := c.lockRange(uint64(addr), uint64(len(buf)))
 	defer c.unlockRange(mask)
 	return c.sys.Read(addr, buf)
@@ -165,8 +198,6 @@ func (c *Concurrent) Read(addr HomeAddr, buf []byte) error {
 
 // Write is a goroutine-safe System.Write.
 func (c *Concurrent) Write(addr HomeAddr, data []byte) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	mask := c.lockRange(uint64(addr), uint64(len(data)))
 	defer c.unlockRange(mask)
 	return c.sys.Write(addr, data)
@@ -174,8 +205,6 @@ func (c *Concurrent) Write(addr HomeAddr, data []byte) error {
 
 // WriteThrough is a goroutine-safe System.WriteThrough.
 func (c *Concurrent) WriteThrough(addr HomeAddr, data []byte) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	mask := c.lockRange(uint64(addr), uint64(len(data)))
 	defer c.unlockRange(mask)
 	return c.sys.WriteThrough(addr, data)
@@ -183,8 +212,6 @@ func (c *Concurrent) WriteThrough(addr HomeAddr, data []byte) error {
 
 // ReadThrough is a goroutine-safe System.ReadThrough.
 func (c *Concurrent) ReadThrough(addr HomeAddr, buf []byte) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	mask := c.lockRange(uint64(addr), uint64(len(buf)))
 	defer c.unlockRange(mask)
 	return c.sys.ReadThrough(addr, buf)
@@ -193,8 +220,7 @@ func (c *Concurrent) ReadThrough(addr HomeAddr, buf []byte) error {
 // Flush is a goroutine-safe System.Flush. It quiesces the whole system:
 // every shard's in-flight accesses complete before the eviction sweep.
 func (c *Concurrent) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockRange(c.lockAll())
 	return c.sys.Flush()
 }
 
@@ -202,8 +228,7 @@ func (c *Concurrent) Flush() error {
 // serialised against concurrent accesses, so a checkpoint taken under
 // load captures a consistent point-in-time state.
 func (c *Concurrent) Checkpoint(j *crash.Journal) (TrustedRoot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockRange(c.lockAll())
 	return c.sys.Checkpoint(j)
 }
 
@@ -211,32 +236,30 @@ func (c *Concurrent) Checkpoint(j *crash.Journal) (TrustedRoot, error) {
 // page rides the committed epoch, making the journal self-contained
 // from this epoch on (the migration bootstrap round).
 func (c *Concurrent) FullCheckpoint(j *crash.Journal) (TrustedRoot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockRange(c.lockAll())
 	return c.sys.FullCheckpoint(j)
 }
 
 // Suspend is a goroutine-safe System.Suspend.
 func (c *Concurrent) Suspend() ([]byte, TrustedRoot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockRange(c.lockAll())
 	return c.sys.Suspend()
 }
 
 // DrainWritebacks is a goroutine-safe System.DrainWritebacks. Each
-// queued writeback drains under its own writer-lock acquisition, so
-// concurrent accesses interleave with a long drain instead of stalling
+// queued writeback drains under its own acquisition of every shard lock,
+// so concurrent accesses interleave with a long drain instead of stalling
 // behind it.
 func (c *Concurrent) DrainWritebacks() (int, error) {
 	n := 0
 	for {
-		c.mu.Lock()
+		mask := c.lockAll()
 		if c.sys.QueuedWritebacks() == 0 {
-			c.mu.Unlock()
+			c.unlockRange(mask)
 			return n, nil
 		}
 		err := c.sys.drainOne()
-		c.mu.Unlock()
+		c.unlockRange(mask)
 		if err != nil {
 			return n, err
 		}
@@ -246,55 +269,30 @@ func (c *Concurrent) DrainWritebacks() (int, error) {
 
 // QueuedWritebacks is a goroutine-safe System.QueuedWritebacks.
 func (c *Concurrent) QueuedWritebacks() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	defer c.unlockRange(c.lockAll())
 	return c.sys.QueuedWritebacks()
 }
 
 // Epoch is a goroutine-safe System.Epoch. The epoch only advances under
-// the writer-excluding Checkpoint path, so shared mode suffices here.
+// Checkpoint, which holds every shard lock.
 func (c *Concurrent) Epoch() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	defer c.unlockRange(c.lockAll())
 	return c.sys.Epoch()
 }
 
-// Stats is a goroutine-safe System.Stats. It holds the writer-excluding
-// lock so the returned snapshot is consistent: no access is mid-flight
-// while the plain-field counter copy is taken.
+// Stats is a goroutine-safe System.Stats. It holds every shard lock so
+// the returned snapshot is consistent: no access is mid-flight while the
+// counters are summed.
 func (c *Concurrent) Stats() OpStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockRange(c.lockAll())
 	return c.sys.Stats()
 }
 
-// StateDigest is a goroutine-safe System.StateDigest: the writer lock
+// StateDigest is a goroutine-safe System.StateDigest: every shard lock
 // quiesces in-flight accesses so the digest covers a consistent state.
 func (c *Concurrent) StateDigest() [32]byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockRange(c.lockAll())
 	return c.sys.StateDigest()
-}
-
-// Shards reports how many page shards the lock design is using.
-func (c *Concurrent) Shards() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sys.Shards()
-}
-
-// Size returns the home address-space size in bytes.
-func (c *Concurrent) Size() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sys.Size()
-}
-
-// Model returns the active protection model.
-func (c *Concurrent) Model() Model {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sys.Model()
 }
 
 // Unwrap returns the underlying System for single-threaded phases. The

@@ -50,7 +50,7 @@ func (s *System) convBumpHome(homeAddr HomeAddr) (major, minor uint64, err error
 			return 0, 0, err
 		}
 	}
-	bump(&s.stats.BMTUpdates)
+	bump(&s.pageState(homeAddr.Page(s.geo.PageSize)).bmtUpdates)
 	if err := s.convCXLTree.Update(ci, cs.Encode()); err != nil {
 		return 0, 0, err
 	}
@@ -69,7 +69,7 @@ func (s *System) convBumpDev(devAddr DevAddr) (major, minor uint64, err error) {
 			return 0, 0, err
 		}
 	}
-	bump(&s.stats.BMTUpdates)
+	bump(&s.frameState(int(devAddr) / s.geo.PageSize).bmtUpdates)
 	if err := s.convDevTree.Update(ci, cs.Encode()); err != nil {
 		return 0, 0, err
 	}
@@ -157,7 +157,7 @@ func (s *System) convAccess(homeAddr HomeAddr, devAddr DevAddr, fi int, out []by
 		if err != nil {
 			return err
 		}
-		bump(&s.stats.MACVerifies)
+		bump(&s.frameState(fi).macVerifies)
 		if !s.eng.VerifyMAC(ct, uint64(devAddr), major, minor, s.convDevMACs[devAddr.Sector(s.geo.SectorSize)]) {
 			return fmt.Errorf("%w: device address %#x", ErrIntegrity, uint64(devAddr))
 		}
@@ -200,7 +200,7 @@ func (s *System) convMigrateIn(page, fi int, src, dst []byte) error {
 		if err != nil {
 			return err
 		}
-		bump(&s.stats.MACVerifies)
+		bump(&s.frameState(fi).macVerifies)
 		if !s.eng.VerifyMAC(srcCT, ha, major, minor, s.convCXLMACs[int(ha)/ss]) {
 			return fmt.Errorf("%w: home address %#x during migration", ErrIntegrity, ha)
 		}
@@ -252,7 +252,7 @@ func (s *System) convEvict(fi int) error {
 		if err != nil {
 			return err
 		}
-		bump(&s.stats.MACVerifies)
+		bump(&s.frameState(fi).macVerifies)
 		if !s.eng.VerifyMAC(ct, da, major, minor, s.convDevMACs[int(da)/ss]) {
 			return fmt.Errorf("%w: device address %#x during eviction", ErrIntegrity, da)
 		}

@@ -88,7 +88,7 @@ func (s *System) WriteThrough(addr HomeAddr, data []byte) error {
 	if err := s.ensureSplitState(); err != nil {
 		return err
 	}
-	bump(&s.stats.Writes)
+	bump(&s.pageState(addr.Page(s.geo.PageSize)).writes)
 	ss := uint64(s.geo.SectorSize)
 	base := uint64(addr)
 	for off := uint64(0); off < uint64(len(data)); {
@@ -125,7 +125,7 @@ func (s *System) ReadThrough(addr HomeAddr, buf []byte) error {
 	if s.IsResident(addr) || (len(buf) > 0 && s.IsResident(addr+HomeAddr(len(buf))-1)) {
 		return fmt.Errorf("securemem: ReadThrough of device-resident page %d", addr.Page(s.geo.PageSize))
 	}
-	bump(&s.stats.Reads)
+	bump(&s.pageState(addr.Page(s.geo.PageSize)).reads)
 	ss := uint64(s.geo.SectorSize)
 	base := uint64(addr)
 	for off := uint64(0); off < uint64(len(buf)); {
@@ -155,7 +155,7 @@ func (s *System) directReadSector(homeAddr HomeAddr, out []byte) error {
 		return err
 	}
 	ct := s.cxlData[homeAddr : homeAddr+32]
-	bump(&s.stats.MACVerifies)
+	bump(&s.pageState(homeAddr.Page(s.geo.PageSize)).macVerifies)
 	if !s.eng.VerifyMAC(ct, uint64(homeAddr), major, minor, s.homeMAC(homeAddr)) {
 		return fmt.Errorf("%w: home address %#x", ErrIntegrity, uint64(homeAddr))
 	}
@@ -208,7 +208,7 @@ func (s *System) directWriteSector(homeAddr HomeAddr, in []byte) error {
 	// Refresh both freshness structures: the split tree covers the full
 	// split counter block (majors and minors), and the collapsed store is
 	// kept in sync so migration sees the current major.
-	bump(&s.stats.BMTUpdates)
+	bump(&s.chunkState(chunk).bmtUpdates)
 	if err := s.splitTree.Update(chunk, sp.Encode()); err != nil {
 		return err
 	}
@@ -309,7 +309,7 @@ func (s *System) CheckpointChunk(addr HomeAddr) error {
 		}
 	}
 	s.splitDirty[chunk] = false
-	bump(&s.stats.BMTUpdates)
+	bump(&s.chunkState(chunk).bmtUpdates)
 	if err := s.splitTree.Update(chunk, sp.Encode()); err != nil {
 		return err
 	}

@@ -335,7 +335,7 @@ func (s *System) verifyParkedFreshness(fi int) error {
 		for i := 0; i < s.geo.SectorsPerChunk(); i++ {
 			ha := base + uint64(i*ss)
 			ct := s.cxlData[ha : ha+uint64(ss)]
-			bump(&s.stats.MACVerifies)
+			bump(&s.pageState(page).macVerifies)
 			if !s.eng.VerifyMAC(ct, ha, uint64(major), 0, s.homeMAC(HomeAddr(ha))) {
 				return fmt.Errorf("%w: parked page %d home address %#x changed during outage",
 					ErrIntegrity, page, ha)

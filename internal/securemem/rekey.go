@@ -41,7 +41,7 @@ func (s *System) ReKey(newAESKey, newMACKey []byte) error {
 			return err
 		}
 		ct := s.cxlData[sec*ss : (sec+1)*ss]
-		bump(&s.stats.MACVerifies)
+		bump(&s.pageState(addr.Page(s.geo.PageSize)).macVerifies)
 		if !s.eng.VerifyMAC(ct, uint64(addr), major, minor, s.homeMAC(addr)) {
 			return ErrIntegrity
 		}
@@ -72,14 +72,7 @@ func (s *System) ReKey(newAESKey, newMACKey []byte) error {
 		if err != nil {
 			return err
 		}
-		devChunks := s.cfg.DevicePages * s.geo.ChunksPerPage()
-		for i := range s.devGroups {
-			s.devGroups[i] = counters.IFGroup{}
-		}
-		s.devTree, err = bmt.New(s.eng, (devChunks+counters.GroupsPerSector-1)/counters.GroupsPerSector)
-		if err != nil {
-			return err
-		}
+		s.buildDevTrees() // the Flush above left no page resident
 	case ModelConventional:
 		for i := range s.convCXLCtrs {
 			s.convCXLCtrs[i] = counters.ConventionalSector{}

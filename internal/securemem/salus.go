@@ -59,22 +59,25 @@ func (s *System) salusSetHomeMajor(homeChunk int, major uint32) error {
 	s.markCkptDirty(homeChunk * s.geo.ChunkSize / s.geo.PageSize)
 	si := homeChunk / counters.CollapsedMajors
 	s.collapsed[si].Majors[homeChunk%counters.CollapsedMajors] = major
-	bump(&s.stats.BMTUpdates)
+	bump(&s.chunkState(homeChunk).bmtUpdates)
 	return s.cxlTree.Update(si, s.collapsed[si].Encode())
 }
 
-// salusDevTreeUpdate refreshes the device-tree leaf covering group gi.
+// salusDevTreeUpdate refreshes the device-subtree leaf covering group gi
+// (frame gi/ChunksPerPage, chunk gi%ChunksPerPage). The leaf sits in the
+// subtree of the frame's shard (see devLeaf), so the update touches only
+// state the caller's shard lock guards.
 func (s *System) salusDevTreeUpdate(gi int) error {
-	leafIdx := gi / counters.GroupsPerSector
+	cpp := s.geo.ChunksPerPage()
+	fi, cip := gi/cpp, gi%cpp
+	first := cip / counters.GroupsPerSector * counters.GroupsPerSector
 	var sec counters.IFSector
-	base := leafIdx * counters.GroupsPerSector
-	for k := 0; k < counters.GroupsPerSector; k++ {
-		if base+k < len(s.devGroups) {
-			sec.Groups[k] = s.devGroups[base+k]
-		}
+	for k := 0; k < counters.GroupsPerSector && first+k < cpp; k++ {
+		sec.Groups[k] = s.devGroups[fi*cpp+first+k]
 	}
-	bump(&s.stats.BMTUpdates)
-	return s.devTree.Update(leafIdx, sec.Encode())
+	st := s.frameState(fi)
+	bump(&st.bmtUpdates)
+	return st.devTree.Update(s.devLeaf(fi, cip), sec.Encode())
 }
 
 // salusFetchMAC ensures the MAC sector of homeAddr's block is present on
@@ -105,7 +108,7 @@ func (s *System) salusAccess(homeAddr HomeAddr, devAddr DevAddr, fi int, out []b
 
 	if !isWrite {
 		major, minor := g.Pair(sic)
-		bump(&s.stats.MACVerifies)
+		bump(&s.frameState(fi).macVerifies)
 		if !s.eng.VerifyMAC(ct, uint64(homeAddr), major, minor, s.homeMAC(homeAddr)) {
 			return fmt.Errorf("%w: home address %#x", ErrIntegrity, uint64(homeAddr))
 		}
@@ -192,7 +195,8 @@ func (s *System) salusEvict(fi int) error {
 	page := f.homePage
 	cs := s.geo.ChunkSize
 	ss := s.geo.SectorSize
-	pt := make([]byte, ss)
+	var sector [32]byte // a stack scratch: evictions run once per page miss
+	pt := sector[:]
 	for c := 0; c < s.geo.ChunksPerPage(); c++ {
 		if f.dirty&(1<<uint(c)) == 0 {
 			bump(&s.stats.CleanChunksSkipped)

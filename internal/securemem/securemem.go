@@ -229,14 +229,12 @@ type System struct {
 
 	frames    []frame
 	pageTable []int // home page -> frame index, -1 if not resident
-	lruClock  uint64
 
 	// Salus metadata (home-indexed).
 	macSectors []maclib.Sector            // one per home 128 B block
 	collapsed  []counters.CollapsedSector // one per 8 home chunks
 	cxlTree    *bmt.Tree                  // over collapsed sectors
-	devGroups  []counters.IFGroup         // one per device-frame chunk
-	devTree    *bmt.Tree                  // over device IF counter sectors
+	devGroups  []counters.IFGroup         // one per device-frame chunk; trees per shard (shardState.devTree)
 	cxlSplit   []counters.CXLSplitSector  // Fig. 6 state, allocated on first WriteThrough
 	splitDirty []bool                     // chunks currently in split state
 	splitTree  *bmt.Tree                  // freshness over split sectors (one leaf per chunk)
@@ -250,9 +248,11 @@ type System struct {
 	convDevTree *bmt.Tree
 
 	// Sharding state (see shard.go). nShards is 1 for a bare New system;
-	// locks guards the cross-shard state, splitArmed publishes the lazy
-	// split-state allocation to concurrent shards.
+	// shards holds each shard's device subtree, LRU clock and access
+	// counters; locks guards the cross-shard state, splitArmed publishes
+	// the lazy split-state allocation to concurrent shards.
 	nShards    int
+	shards     []shardState
 	locks      sysLocks
 	splitArmed atomic.Bool
 
@@ -341,6 +341,7 @@ func newBare(cfg Config) (*System, error) {
 		geo:       g,
 		eng:       eng,
 		nShards:   1,
+		shards:    make([]shardState, 1),
 		cxlData:   cxlData,
 		devData:   devData,
 		frames:    make([]frame, cfg.DevicePages),
@@ -369,14 +370,9 @@ func newBare(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		devChunks := cfg.DevicePages * g.ChunksPerPage()
-		s.devGroups = make([]counters.IFGroup, devChunks)
-		s.devTree, err = bmt.New(eng, (devChunks+counters.GroupsPerSector-1)/counters.GroupsPerSector)
-		if err != nil {
-			return nil, err
-		}
+		s.devGroups = make([]counters.IFGroup, cfg.DevicePages*g.ChunksPerPage())
+		s.buildDevTrees()
 		s.cxlTree.SetTrustCache(trustCacheEntries)
-		s.devTree.SetTrustCache(trustCacheEntries)
 	case ModelConventional:
 		homeSectors := cfg.TotalPages * g.SectorsPerPage()
 		devSectors := cfg.DevicePages * g.SectorsPerPage()
@@ -517,10 +513,19 @@ func (s *System) Size() uint64 { return uint64(len(s.cxlData)) }
 // Model returns the active protection model.
 func (s *System) Model() Model { return s.cfg.Model }
 
-// Stats returns a copy of the operation counters.
+// Stats returns a copy of the operation counters, with the per-shard
+// access counters summed in.
 func (s *System) Stats() OpStats {
 	s.syncLinkStats()
-	return s.stats
+	st := s.stats
+	for i := range s.shards {
+		sh := &s.shards[i]
+		st.Reads += atomic.LoadUint64(&sh.reads)
+		st.Writes += atomic.LoadUint64(&sh.writes)
+		st.MACVerifies += atomic.LoadUint64(&sh.macVerifies)
+		st.BMTUpdates += atomic.LoadUint64(&sh.bmtUpdates)
+	}
+	return st
 }
 
 // ResidentPages returns how many pages currently sit in the device tier.

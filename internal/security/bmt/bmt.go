@@ -33,14 +33,20 @@ const LeafBytes = 32
 // interior nodes below the root; the root hash is TCB state.
 //
 // A Tree is safe for concurrent use: every exported method takes the
-// internal mutex. One tree spans all page shards of a securemem.System,
-// so sharded callers synchronize here rather than around the tree.
+// internal mutex. Callers that already serialise access to a tree (a
+// securemem shard lock over its device subtree) find the mutex
+// uncontended.
 type Tree struct {
 	mu       sync.Mutex
 	eng      *cryptoeng.Engine
 	nLeaves  int
 	levels   [][][32]byte
 	leafData [][LeafBytes]byte
+
+	// scratch holds one node's concatenated child hashes while they are
+	// hashed, so rehashing and verification allocate nothing. Guarded by
+	// mu.
+	scratch [Arity * 32]byte
 
 	// Trusted-node cache (see SetTrustCache).
 	trusted  map[[2]int]bool
@@ -115,17 +121,28 @@ func (t *Tree) rehashLeaf(i int) {
 }
 
 func (t *Tree) rehashNode(lvl, i int) {
+	t.levels[lvl][i] = t.hashChildren(lvl, i)
+}
+
+// hashCandidate hashes candidate leaf data from the scratch buffer: a
+// slice of the caller's array would escape into the hash and move the
+// array to the heap.
+func (t *Tree) hashCandidate(leaf int, data [LeafBytes]byte) [32]byte {
+	copy(t.scratch[:], data[:])
+	return t.eng.HashNode(t.scratch[:LeafBytes], 0, leaf)
+}
+
+// hashChildren recomputes node i of level lvl from the stored hashes of
+// its children, staged in the tree's scratch buffer.
+func (t *Tree) hashChildren(lvl, i int) [32]byte {
+	kids := t.levels[lvl-1]
 	first := i * Arity
-	last := first + Arity
-	if last > len(t.levels[lvl-1]) {
-		last = len(t.levels[lvl-1])
-	}
-	var buf []byte
+	last := min(first+Arity, len(kids))
+	n := 0
 	for c := first; c < last; c++ {
-		h := t.levels[lvl-1][c]
-		buf = append(buf, h[:]...)
+		n += copy(t.scratch[n:], kids[c][:])
 	}
-	t.levels[lvl][i] = t.eng.HashNode(buf, lvl, i)
+	return t.eng.HashNode(t.scratch[:n], lvl, i)
 }
 
 // Update installs new leaf data and recomputes the path to the root. This
@@ -168,7 +185,7 @@ func (t *Tree) Verify(leaf int, data [LeafBytes]byte) error {
 	if leaf < 0 || leaf >= t.nLeaves {
 		return fmt.Errorf("bmt: leaf %d out of range [0,%d)", leaf, t.nLeaves)
 	}
-	h := t.eng.HashNode(data[:], 0, leaf)
+	h := t.hashCandidate(leaf, data)
 	if h != t.levels[0][leaf] {
 		return fmt.Errorf("bmt: leaf %d hash mismatch (tampered or replayed counter block)", leaf)
 	}
@@ -177,17 +194,7 @@ func (t *Tree) Verify(leaf int, data [LeafBytes]byte) error {
 	idx := leaf
 	for lvl := 1; lvl < len(t.levels); lvl++ {
 		parent := idx / Arity
-		first := parent * Arity
-		last := first + Arity
-		if last > len(t.levels[lvl-1]) {
-			last = len(t.levels[lvl-1])
-		}
-		var buf []byte
-		for c := first; c < last; c++ {
-			sib := t.levels[lvl-1][c]
-			buf = append(buf, sib[:]...)
-		}
-		h = t.eng.HashNode(buf, lvl, parent)
+		h = t.hashChildren(lvl, parent)
 		if h != t.levels[lvl][parent] {
 			return fmt.Errorf("bmt: level %d node %d mismatch", lvl, parent)
 		}
@@ -261,7 +268,7 @@ func (t *Tree) VerifyCached(leaf int, data [LeafBytes]byte) error {
 	if leaf < 0 || leaf >= t.nLeaves {
 		return fmt.Errorf("bmt: leaf %d out of range [0,%d)", leaf, t.nLeaves)
 	}
-	h := t.eng.HashNode(data[:], 0, leaf)
+	h := t.hashCandidate(leaf, data)
 	if h != t.levels[0][leaf] {
 		return fmt.Errorf("bmt: leaf %d hash mismatch (tampered or replayed counter block)", leaf)
 	}
@@ -269,34 +276,21 @@ func (t *Tree) VerifyCached(leaf int, data [LeafBytes]byte) error {
 		return nil
 	}
 	idx := leaf
-	var path [][2]int
-	path = append(path, [2]int{0, leaf})
 	for lvl := 1; lvl < len(t.levels); lvl++ {
 		parent := idx / Arity
-		first := parent * Arity
-		last := first + Arity
-		if last > len(t.levels[lvl-1]) {
-			last = len(t.levels[lvl-1])
-		}
-		var buf []byte
-		for c := first; c < last; c++ {
-			sib := t.levels[lvl-1][c]
-			buf = append(buf, sib[:]...)
-		}
-		h = t.eng.HashNode(buf, lvl, parent)
+		h = t.hashChildren(lvl, parent)
 		if h != t.levels[lvl][parent] {
 			return fmt.Errorf("bmt: level %d node %d mismatch", lvl, parent)
 		}
 		if t.isTrusted(lvl, parent) || lvl == len(t.levels)-1 {
 			// Reached a trusted ancestor (or the in-TCB root): the whole
-			// walked path is now trusted.
-			for _, p := range path {
-				t.trust(p[0], p[1])
+			// walked path is now trusted. The node walked at level l is
+			// leaf/Arity^l, so the path needs no record of its own.
+			for l, i := 0, leaf; l <= lvl; l, i = l+1, i/Arity {
+				t.trust(l, i)
 			}
-			t.trust(lvl, parent)
 			return nil
 		}
-		path = append(path, [2]int{lvl, parent})
 		idx = parent
 	}
 	return nil

@@ -283,3 +283,49 @@ func TestVerifyCachedWithoutCacheEqualsVerify(t *testing.T) {
 		t.Error("out-of-range accepted")
 	}
 }
+
+// TestZeroAlloc asserts the write and verify paths allocate nothing:
+// child hashes are staged in the tree's scratch buffer, not appended to
+// a fresh slice per level.
+func TestZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tree, err := New(newEngine(t), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.SetTrustCache(64)
+	var d [LeafBytes]byte
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		i++
+		d[0] = byte(i)
+		if err := tree.Update(i%4096, d); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Update allocates %.1f times per op, want 0", n)
+	}
+	leaf, _ := tree.Leaf(7)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := tree.Verify(7, leaf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Verify allocates %.1f times per op, want 0", n)
+	}
+	// Walk a different cold leaf each run: the tiny cache keeps clearing,
+	// so every call walks toward the root.
+	tree.SetTrustCache(4)
+	if n := testing.AllocsPerRun(100, func() {
+		i++
+		l := (i * 577) % 4096
+		data, _ := tree.Leaf(l)
+		if err := tree.VerifyCached(l, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("VerifyCached allocates %.1f times per op, want 0", n)
+	}
+}

@@ -139,81 +139,120 @@ type Request struct {
 	// class default (relative to submission).
 	Deadline sim.Cycle
 	// OnDone, when set, runs with the outcome before Do returns, while
-	// the server still holds its engine lock — but only if the request
-	// passed admission and reached the engine. Admission refusals (shed,
-	// overload) never touched engine state, so OnDone is not called for
-	// them; classify those from Do's return value. The engine-lock
-	// guarantee is what lets a client mutate its oracle inside OnDone
-	// without racing a concurrent quiesce/snapshot.
+	// the server still holds its engine lock (the request's stripe) —
+	// but only if the request passed admission and reached the engine.
+	// Admission refusals (shed, overload) never touched engine state, so
+	// OnDone is not called for them; classify those from Do's return
+	// value. The engine-lock guarantee is what lets a client mutate its
+	// oracle inside OnDone without racing a concurrent quiesce/snapshot.
 	OnDone func(err error)
 }
 
 // degrade is the degradation ladder: a leaky pressure counter of link
 // refusals with hysteresis between the shed and restore thresholds, so
-// the tier does not flap request-by-request at a boundary.
+// the tier does not flap request-by-request at a boundary. Every request
+// reads the tier and nearly every request reports a success, so both
+// stay off the mutex while the ladder is healthy.
 type degrade struct {
 	mu           sync.Mutex
 	shedAfter    int
 	restoreAfter int
 	pressure     int // link refusals minus successes, floored at 0
 	oks          int // consecutive successes toward a tier step-down
-	tier         int // 0 healthy, 1 shed bulk, 2 shed bulk+batch
+	peak         int // highest tier ever reached
+
+	// tier is 0 healthy, 1 shed bulk, 2 shed bulk+batch; quiet is
+	// tier == 0 && pressure == 0. Both are written under mu and read
+	// without it.
+	tier  atomic.Int32
+	quiet atomic.Bool
 }
 
-// observe folds one engine-touched outcome into the ladder.
+// observe folds one engine-touched outcome into the ladder. A success
+// while quiet changes nothing: pressure is floored at 0, and oks only
+// counts toward a step-down from a tier above 0 (every climb to such a
+// tier passes through a refusal, which resets oks).
 func (d *degrade) observe(success, linkRefused bool) {
+	if !linkRefused && (!success || d.quiet.Load()) {
+		return
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	switch {
-	case linkRefused:
+	tier := int(d.tier.Load())
+	if linkRefused {
 		d.pressure++
 		d.oks = 0
 		if d.pressure >= 2*d.shedAfter {
-			d.tier = 2
-		} else if d.pressure >= d.shedAfter && d.tier < 1 {
-			d.tier = 1
+			tier = 2
+		} else if d.pressure >= d.shedAfter && tier < 1 {
+			tier = 1
 		}
-	case success:
+	} else {
 		if d.pressure > 0 {
 			d.pressure--
 		}
 		d.oks++
-		if d.tier > 0 && d.oks >= d.restoreAfter {
-			d.tier--
+		if tier > 0 && d.oks >= d.restoreAfter {
+			tier--
 			d.oks = 0
 		}
 	}
+	d.peak = max(d.peak, tier)
+	d.tier.Store(int32(tier))
+	d.quiet.Store(tier == 0 && d.pressure == 0)
 }
 
-func (d *degrade) currentTier() int {
+// peakTier returns the highest tier the ladder ever reached.
+func (d *degrade) peakTier() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.tier
+	return d.peak
 }
 
 // Server multiplexes client requests onto the shared engine.
 //
-// Lock order: Server.state -> Concurrent.mu (and its interior). Requests
-// hold state shared for their whole engine interaction including the
-// OnDone callback; WithQuiesced and SwapEngine hold it exclusively, so a
-// snapshot or an engine swap can never interleave with a half-finished
-// request's oracle update.
+// The per-request state is striped by engine shard: a request keyed to
+// shard k (by its address, see securemem.Concurrent.ShardOf) holds
+// stripe k's state lock shared for its whole engine interaction,
+// including the OnDone callback, and records its outcome in stripe k's
+// counters. Two requests on disjoint shards therefore write no common
+// cache line apart from the service clock and their class's in-flight
+// count. WithQuiesced, SwapEngine and WithQuiescedSwap lock every
+// stripe's state lock in ascending order, so a snapshot or an engine
+// swap can never interleave with a half-finished request's oracle
+// update.
+//
+// Lock order: stripe.state (ascending) -> the engine's shard locks;
+// stripe.state -> degrade.mu; stripe.mu is a leaf.
 type Server struct {
-	state sync.RWMutex // guards eng identity; see lock-order comment
-	eng   *securemem.Concurrent
+	// eng is read under any one stripe's state lock and replaced under
+	// all of them.
+	eng     *securemem.Concurrent
+	stripes []stripe
+	shardOf func(securemem.HomeAddr) int
 
 	clock   *sim.Clock
 	classes [NumClasses]ClassConfig
 	admit   [NumClasses]*sim.TokenBucket
-	slots   [NumClasses]chan struct{}
 	deg     degrade
 	closed  atomic.Bool
 
-	mu   sync.Mutex // guards ops, lat, tops, and tmax
-	ops  [NumClasses]stats.ServeOps
-	lat  [NumClasses]stats.Histogram
-	tops map[string]*stats.ServeOps // tagged requests, by Request.Tenant
-	tmax int                        // high-water tier, for reporting
+	_        [cacheLine]byte
+	inflight [NumClasses]atomic.Int64 // requests past admission, per class
+}
+
+// cacheLine is the padding unit that keeps the stripes, and the
+// in-flight counts every request writes, off each other's cache lines.
+const cacheLine = 64
+
+// stripe is the request state of one engine shard.
+type stripe struct {
+	state sync.RWMutex // guards Server.eng; see the Server comment
+	mu    sync.Mutex   // guards ops, lat and tops
+	ops   [NumClasses]stats.ServeOps
+	lat   [NumClasses]stats.Histogram
+	tops  map[string]*stats.ServeOps // tagged requests, by Request.Tenant
+	_     [cacheLine]byte
 }
 
 // New builds a Server over cfg.Engine.
@@ -225,7 +264,18 @@ func New(cfg Config) (*Server, error) {
 		cfg.Clock = &sim.Clock{}
 	}
 	defaults := DefaultClasses()
-	s := &Server{eng: cfg.Engine, clock: cfg.Clock, tops: make(map[string]*stats.ServeOps)}
+	// The stripe key comes from the first engine's layout. An engine
+	// swapped in later is rebuilt with the same geometry; if it were not,
+	// requests would still be excluded correctly, only on other stripes.
+	s := &Server{
+		eng:     cfg.Engine,
+		stripes: make([]stripe, cfg.Engine.Shards()),
+		shardOf: cfg.Engine.ShardOf,
+		clock:   cfg.Clock,
+	}
+	for i := range s.stripes {
+		s.stripes[i].tops = make(map[string]*stats.ServeOps)
+	}
 	for c := Class(0); c < NumClasses; c++ {
 		cc := cfg.Classes[c]
 		if cc == (ClassConfig{}) {
@@ -236,7 +286,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.classes[c] = cc
 		s.admit[c] = sim.NewTokenBucket(cc.Rate, cc.Burst)
-		s.slots[c] = make(chan struct{}, cc.Queue)
 	}
 	s.deg.shedAfter = cfg.ShedAfter
 	if s.deg.shedAfter <= 0 {
@@ -246,36 +295,27 @@ func New(cfg Config) (*Server, error) {
 	if s.deg.restoreAfter <= 0 {
 		s.deg.restoreAfter = DefaultRestoreAfter
 	}
+	s.deg.quiet.Store(true)
 	return s, nil
 }
 
 // Clock returns the shared service clock.
 func (s *Server) Clock() *sim.Clock {
-	s.state.RLock()
-	defer s.state.RUnlock()
+	s.stripes[0].state.RLock()
+	defer s.stripes[0].state.RUnlock()
 	return s.clock
 }
 
-// Tier returns the current degradation tier (0 = healthy). Like
-// Snapshot, it reads the degradation state under the counter mutex.
-func (s *Server) Tier() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deg.currentTier()
-}
+// Tier returns the current degradation tier (0 = healthy).
+func (s *Server) Tier() int { return int(s.deg.tier.Load()) }
 
 // Close marks the server closed; subsequent Do calls fail with
-// ErrClosed. In-flight requests complete normally. Publishing under the
-// counter mutex orders the close against concurrent Snapshot calls.
-func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed.Store(true)
-}
+// ErrClosed. In-flight requests complete normally.
+func (s *Server) Close() { s.closed.Store(true) }
 
 // shedClass reports whether the current tier sheds class c.
 func (s *Server) shedClass(c Class) (bool, int) {
-	t := s.deg.currentTier()
+	t := int(s.deg.tier.Load())
 	return (t >= 1 && c == Bulk) || (t >= 2 && c == Batch), t
 }
 
@@ -308,31 +348,47 @@ func (s *Server) Do(req *Request) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
+	k := s.shardOf(req.Addr)
+	st := &s.stripes[k]
 	if shed, tier := s.shedClass(c); shed {
-		s.record(req, stats.ServeOps{Shed: 1}, 0)
+		st.record(req, stats.ServeOps{Shed: 1}, 0)
 		return fmt.Errorf("%w: class %v at tier %d", ErrShed, c, tier)
 	}
-	if !s.admit[c].Take(s.clock.Now()) {
-		s.record(req, stats.ServeOps{Overload: 1}, 0)
+	now := s.clock.Now()
+	if !s.admit[c].Take(now) {
+		st.record(req, stats.ServeOps{Overload: 1}, 0)
 		return fmt.Errorf("%w: class %v token bucket empty", ErrOverload, c)
 	}
-	select {
-	case s.slots[c] <- struct{}{}:
-	default:
-		s.record(req, stats.ServeOps{Overload: 1}, 0)
-		return fmt.Errorf("%w: class %v queue full (%d in flight)", ErrOverload, c, cap(s.slots[c]))
+	if !s.enter(c) {
+		st.record(req, stats.ServeOps{Overload: 1}, 0)
+		return fmt.Errorf("%w: class %v queue full (%d in flight)", ErrOverload, c, s.classes[c].Queue)
 	}
-	defer func() { <-s.slots[c] }()
+	defer s.inflight[c].Add(-1)
 
-	s.state.RLock()
-	defer s.state.RUnlock()
-	return s.run(req, c)
+	s.stripes[k].state.RLock()
+	defer s.stripes[k].state.RUnlock()
+	return s.run(req, c, st, now)
 }
 
-// run is the execution loop; the caller holds the engine read lock.
-func (s *Server) run(req *Request, c Class) error {
+// enter claims one of class c's in-flight places, refusing at the class
+// Queue bound.
+func (s *Server) enter(c Class) bool {
+	bound := int64(s.classes[c].Queue)
+	for {
+		n := s.inflight[c].Load()
+		if n >= bound {
+			return false
+		}
+		if s.inflight[c].CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// run is the execution loop; the caller holds st's engine read lock.
+// start is the service time the request was admitted at.
+func (s *Server) run(req *Request, c Class, st *stripe, start sim.Cycle) error {
 	cc := s.classes[c]
-	start := s.clock.Now()
 	deadline := req.Deadline
 	if deadline == 0 && cc.Deadline > 0 {
 		deadline = start + cc.Deadline
@@ -345,7 +401,7 @@ func (s *Server) run(req *Request, c Class) error {
 	var err error
 	retries := 0
 	for attempt := 0; ; attempt++ {
-		if deadline != 0 && s.clock.Now() >= deadline && attempt > 0 {
+		if attempt > 0 && deadline != 0 && s.clock.Now() >= deadline {
 			err = fmt.Errorf("%w: class %v after %d attempts", ErrDeadline, c, attempt)
 			break
 		}
@@ -391,7 +447,7 @@ func (s *Server) run(req *Request, c Class) error {
 	default:
 		out.Refused = 1
 	}
-	s.record(req, out, latency)
+	st.record(req, out, latency)
 	if req.OnDone != nil {
 		req.OnDone(err)
 	}
@@ -407,36 +463,47 @@ func (s *Server) exec(req *Request) error {
 	return s.eng.Read(req.Addr, req.Buf)
 }
 
-// record folds one request's classified outcome into its class counters
-// and, for a tagged request, its tenant's; a served request's latency
-// feeds the class histogram.
-func (s *Server) record(req *Request, out stats.ServeOps, latency sim.Cycle) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ops[req.Class].Add(out)
+// record folds one request's classified outcome into the stripe's class
+// counters and, for a tagged request, its tenant's; a served request's
+// latency feeds the class histogram.
+func (st *stripe) record(req *Request, out stats.ServeOps, latency sim.Cycle) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.ops[req.Class].Add(out)
 	if out.Served != 0 {
-		s.lat[req.Class].Observe(uint64(latency))
+		st.lat[req.Class].Observe(uint64(latency))
 	}
 	if req.Tenant != "" {
-		o := s.tops[req.Tenant]
+		o := st.tops[req.Tenant]
 		if o == nil {
 			o = new(stats.ServeOps)
-			s.tops[req.Tenant] = o
+			st.tops[req.Tenant] = o
 		}
 		o.Add(out)
 	}
-	if t := s.deg.currentTier(); t > s.tmax {
-		s.tmax = t
+}
+
+// quiesce takes every stripe's state lock in ascending order, waiting
+// out every in-flight request; unquiesce releases them.
+func (s *Server) quiesce() {
+	for i := range s.stripes {
+		s.stripes[i].state.Lock()
+	}
+}
+
+func (s *Server) unquiesce() {
+	for i := len(s.stripes) - 1; i >= 0; i-- {
+		s.stripes[i].state.Unlock()
 	}
 }
 
 // WithQuiesced runs fn with every request drained and excluded: fn owns
 // the engine single-threadedly for its duration. Checkpoints, crash
-// recovery swaps, and oracle snapshots run here — the exclusive lock is
-// what makes a snapshot atomic with respect to OnDone oracle updates.
+// recovery swaps, and oracle snapshots run here — holding every stripe
+// is what makes a snapshot atomic with respect to OnDone oracle updates.
 func (s *Server) WithQuiesced(fn func(eng *securemem.Concurrent) error) error {
-	s.state.Lock()
-	defer s.state.Unlock()
+	s.quiesce()
+	defer s.unquiesce()
 	return fn(s.eng)
 }
 
@@ -444,8 +511,8 @@ func (s *Server) WithQuiesced(fn func(eng *securemem.Concurrent) error) error {
 // engine's device state is gone, the new one was rebuilt by Recover).
 // It waits for in-flight requests to drain first.
 func (s *Server) SwapEngine(eng *securemem.Concurrent) {
-	s.state.Lock()
-	defer s.state.Unlock()
+	s.quiesce()
+	defer s.unquiesce()
 	s.eng = eng
 }
 
@@ -457,8 +524,8 @@ func (s *Server) SwapEngine(eng *securemem.Concurrent) {
 // recovered bytes against a pre-crash oracle. On error nothing is
 // swapped.
 func (s *Server) WithQuiescedSwap(fn func(old *securemem.Concurrent) (*securemem.Concurrent, error)) error {
-	s.state.Lock()
-	defer s.state.Unlock()
+	s.quiesce()
+	defer s.unquiesce()
 	eng, err := fn(s.eng)
 	if err != nil {
 		return err
@@ -472,8 +539,8 @@ func (s *Server) WithQuiescedSwap(fn func(old *securemem.Concurrent) (*securemem
 // Engine returns the current engine. The caller must not retain it
 // across a SwapEngine; quiesced phases should prefer WithQuiesced.
 func (s *Server) Engine() *securemem.Concurrent {
-	s.state.RLock()
-	defer s.state.RUnlock()
+	s.stripes[0].state.RLock()
+	defer s.stripes[0].state.RUnlock()
 	return s.eng
 }
 
@@ -492,14 +559,27 @@ type Report struct {
 	PeakTier int
 }
 
-// Snapshot returns a consistent Report.
+// Snapshot returns a consistent Report: every stripe's counters are
+// locked in ascending order and merged in that order.
 func (s *Server) Snapshot() Report {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := Report{Ops: s.ops, Latency: s.lat, Tier: s.deg.currentTier(), PeakTier: s.tmax}
-	r.Tenants = make(map[string]stats.ServeOps, len(s.tops))
-	for id, o := range s.tops {
-		r.Tenants[id] = *o
+	r := Report{Tier: s.Tier(), PeakTier: s.deg.peakTier(), Tenants: make(map[string]stats.ServeOps)}
+	for i := range s.stripes {
+		s.stripes[i].mu.Lock()
+	}
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		for c := Class(0); c < NumClasses; c++ {
+			r.Ops[c].Add(st.ops[c])
+			r.Latency[c].Merge(&st.lat[c])
+		}
+		for id, o := range st.tops {
+			sum := r.Tenants[id]
+			sum.Add(*o)
+			r.Tenants[id] = sum
+		}
+	}
+	for i := len(s.stripes) - 1; i >= 0; i-- {
+		s.stripes[i].mu.Unlock()
 	}
 	return r
 }
