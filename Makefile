@@ -124,9 +124,13 @@ migrate-smoke:
 # `go test ./cmd/salus-check -run TestGolden -update` and review the diff.
 # It also renders every `salus-bench -quick -all` paper figure and study
 # as JSON and compares it byte for byte with BENCH_seed.json; regenerate
-# that file with `make bench-baseline`.
+# that file with `make bench-baseline`. Finally it compares salus-sim's
+# full measurement record for each model and one trace replay with
+# cmd/salus-sim/testdata/*.golden (`go test ./cmd/salus-sim -run
+# TestGolden -update` regenerates them).
 golden-compare:
 	$(GO) test ./cmd/salus-check -run '^TestGolden$$' -count=1
+	$(GO) test ./cmd/salus-sim -run '^TestGolden$$' -count=1
 	$(GO) test ./internal/experiments -run '^TestQuickCampaignGolden$$' -count=1
 
 # ladderbench-build vets and tests the benchmark harness in _ladderbench/.

@@ -74,9 +74,9 @@ func main() {
 	if err := sys.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	st := sys.Stats()
+	lst := lnk.Stats()
 	fmt.Printf("  drained %d parked writeback(s); link saw %d refusals, %d flaps\n\n",
-		n, st.LinkDownRefusals, st.LinkFlaps)
+		n, lst.DownRefusals, lst.Flaps)
 
 	fmt.Println("phase 4 — a home rollback during the outage is detected on drain")
 	sys2, err := salus.NewDefault(8, 2)

@@ -1,6 +1,6 @@
 // Package metrics provides the aggregation helpers the paper's methodology
-// uses: normalisation against a reference run and geometric means across
-// workloads.
+// uses: geometric means across workloads, improvement percentages, and
+// zero-guarded ratios.
 package metrics
 
 import (
@@ -34,14 +34,6 @@ func MustGeomean(xs []float64) float64 {
 	return g
 }
 
-// Normalize returns value/reference, guarding the zero reference.
-func Normalize(value, reference float64) (float64, error) {
-	if reference == 0 {
-		return 0, errors.New("metrics: normalise against zero reference")
-	}
-	return value / reference, nil
-}
-
 // ImprovementPct converts a ratio new/old into a percentage improvement of
 // new over old: 1.30 -> +30%.
 func ImprovementPct(ratio float64) float64 { return (ratio - 1) * 100 }
@@ -54,15 +46,6 @@ func Availability(ok, failed uint64) float64 {
 		return 1
 	}
 	return float64(ok) / float64(ok+failed)
-}
-
-// PerMillion scales an event count against a total into events per
-// million, the usual unit for fault and error rates (0 when total is 0).
-func PerMillion(events, total uint64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(events) / float64(total) * 1e6
 }
 
 // Per returns the zero-guarded ratio n/d for per-unit counter figures —

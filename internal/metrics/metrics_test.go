@@ -81,16 +81,6 @@ func TestGeomeanScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	v, err := Normalize(3, 2)
-	if err != nil || v != 1.5 {
-		t.Errorf("Normalize(3,2) = %v, %v", v, err)
-	}
-	if _, err := Normalize(1, 0); err == nil {
-		t.Error("Normalize by zero should error")
-	}
-}
-
 func TestImprovementPct(t *testing.T) {
 	if got := ImprovementPct(1.2994); math.Abs(got-29.94) > 1e-9 {
 		t.Errorf("ImprovementPct(1.2994) = %v, want 29.94", got)
@@ -112,18 +102,6 @@ func TestAvailability(t *testing.T) {
 	}
 	if got := Availability(0, 5); got != 0 {
 		t.Errorf("Availability(0, 5) = %v, want 0", got)
-	}
-}
-
-func TestPerMillion(t *testing.T) {
-	if got := PerMillion(3, 0); got != 0 {
-		t.Errorf("PerMillion(3, 0) = %v, want 0", got)
-	}
-	if got := PerMillion(5, 1_000_000); got != 5 {
-		t.Errorf("PerMillion(5, 1e6) = %v, want 5", got)
-	}
-	if got := PerMillion(1, 2_000_000); got != 0.5 {
-		t.Errorf("PerMillion(1, 2e6) = %v, want 0.5", got)
 	}
 }
 

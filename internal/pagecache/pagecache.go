@@ -15,10 +15,8 @@ import (
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/cxlmem"
 	"github.com/salus-sim/salus/internal/dram"
-	"github.com/salus-sim/salus/internal/link"
 	"github.com/salus-sim/salus/internal/secsim"
 	"github.com/salus-sim/salus/internal/securemem"
-	"github.com/salus-sim/salus/internal/sim"
 	"github.com/salus-sim/salus/internal/stats"
 )
 
@@ -57,7 +55,6 @@ const (
 
 // PageCache manages the device tier as a cache of the home space.
 type PageCache struct {
-	eng    *sim.Engine
 	geo    config.Geometry
 	device *dram.Memory
 	cxl    *cxlmem.Memory
@@ -82,12 +79,6 @@ type PageCache struct {
 	mode    Mode
 	history map[int]uint64 // homePage -> touched mask of previous residency
 
-	// lnk, when set, models the CXL transport as a degradable resource:
-	// every link transfer consults it first. A refused transfer retries
-	// after linkRetryCycles; a brownout surcharge is charged to the event
-	// clock before the access issues.
-	lnk *link.Link
-
 	// evictNotifier, when set, is told about each page leaving the device
 	// tier (the interconnect uses it for directed mapping invalidation).
 	evictNotifier func(homePage int)
@@ -95,7 +86,7 @@ type PageCache struct {
 
 // New builds a page cache with the given number of device frames over a
 // home space of totalPages.
-func New(eng *sim.Engine, geo config.Geometry, device *dram.Memory, cxl *cxlmem.Memory,
+func New(geo config.Geometry, device *dram.Memory, cxl *cxlmem.Memory,
 	sec secsim.Engine, ops *stats.Ops, totalPages, frames int) (*PageCache, error) {
 	if frames <= 0 || totalPages <= 0 {
 		return nil, fmt.Errorf("pagecache: need positive sizes, got frames=%d totalPages=%d", frames, totalPages)
@@ -104,7 +95,6 @@ func New(eng *sim.Engine, geo config.Geometry, device *dram.Memory, cxl *cxlmem.
 		return nil, fmt.Errorf("pagecache: %d chunks per page exceeds the 64-bit mask", geo.ChunksPerPage())
 	}
 	pc := &PageCache{
-		eng:          eng,
 		geo:          geo,
 		device:       device,
 		cxl:          cxl,
@@ -137,50 +127,6 @@ func (pc *PageCache) SetMode(m Mode) { pc.mode = m }
 // SetEvictNotifier registers a callback run at the start of every page
 // eviction (used for directed mapping-cache invalidation).
 func (pc *PageCache) SetEvictNotifier(fn func(homePage int)) { pc.evictNotifier = fn }
-
-// SetLink arms the page cache with a CXL link model. Call before
-// simulation starts.
-func (pc *PageCache) SetLink(l *link.Link) { pc.lnk = l }
-
-// linkRetryCycles is the pause between retries of a link-refused transfer.
-// The performance simulator cannot fail an in-flight migration the way the
-// functional model does (callers hold no error path), so a refused
-// transfer parks on the event queue and retries — the outage shows up as
-// migration latency plus the link counters, not as a lost access.
-const linkRetryCycles = 64
-
-// cxlTransfer issues one data transfer over the CXL link, consulting the
-// link model first when one is attached. Refusals reschedule the whole
-// transfer; a degraded link charges its latency surcharge to the event
-// clock before the memory access issues.
-func (pc *PageCache) cxlTransfer(bytes uint64, class stats.Class, done func()) {
-	if pc.lnk == nil {
-		pc.cxl.Access(bytes, class, done)
-		return
-	}
-	lat, err := pc.lnk.Transfer()
-	pc.syncLinkStats()
-	if err != nil {
-		pc.eng.After(linkRetryCycles, func() { pc.cxlTransfer(bytes, class, done) })
-		return
-	}
-	if lat > 0 {
-		pc.eng.After(lat, func() { pc.cxl.Access(bytes, class, done) })
-		return
-	}
-	pc.cxl.Access(bytes, class, done)
-}
-
-// syncLinkStats mirrors the link's counters into the run's op stats.
-func (pc *PageCache) syncLinkStats() {
-	st := pc.lnk.Stats()
-	pc.ops.LinkFlaps = st.Flaps
-	pc.ops.LinkDownRefusals = st.DownRefusals
-	pc.ops.LinkFastFails = st.FastFails
-	pc.ops.BreakerOpens = st.BreakerOpens
-	pc.ops.BreakerCloses = st.BreakerCloses
-	pc.ops.LinkLatencyCycles = uint64(st.ExtraLatencyCycles)
-}
 
 // Frames returns the device-tier capacity in frames.
 func (pc *PageCache) Frames() int { return len(pc.frames) }
@@ -301,7 +247,7 @@ func (pc *PageCache) fault(page int) {
 			complete()
 			return
 		}
-		pc.cxlTransfer(uint64(nChunks*pc.geo.ChunkSize), stats.Data, func() {
+		pc.cxl.Access(uint64(nChunks*pc.geo.ChunkSize), stats.Data, func() {
 			remaining := nChunks
 			for c := 0; c < pc.geo.ChunksPerPage(); c++ {
 				if fillMask&(1<<uint(c)) == 0 {
@@ -426,7 +372,7 @@ func (pc *PageCache) startEvict(frame int) {
 		pc.device.Access(devAddr, uint64(pc.geo.ChunkSize), stats.Data, func() {
 			remaining--
 			if remaining == 0 {
-				pc.cxlTransfer(uint64(nChunks*pc.geo.ChunkSize), stats.Data, complete)
+				pc.cxl.Access(uint64(nChunks*pc.geo.ChunkSize), stats.Data, complete)
 			}
 		})
 	}
@@ -494,7 +440,7 @@ func (pc *PageCache) fillChunk(frame, page, chunk int, done func()) {
 		}
 	}
 	devAddr := uint64(frame*pc.geo.PageSize + chunk*pc.geo.ChunkSize)
-	pc.cxlTransfer(uint64(pc.geo.ChunkSize), stats.Data, func() {
+	pc.cxl.Access(uint64(pc.geo.ChunkSize), stats.Data, func() {
 		pc.device.Access(devAddr, uint64(pc.geo.ChunkSize), stats.Data, complete)
 	})
 	pc.sec.OnChunkFill(page, frame, chunk, complete)

@@ -7,7 +7,6 @@ import (
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/cxlmem"
 	"github.com/salus-sim/salus/internal/dram"
-	"github.com/salus-sim/salus/internal/link"
 	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/sim"
 	"github.com/salus-sim/salus/internal/stats"
@@ -43,7 +42,7 @@ func testSetup(fine bool, frames, totalPages int) (*sim.Engine, *PageCache, *fak
 	device := dram.New(eng, 4, 32, 50, uint64(geo.ChunkSize), &run.Traffic)
 	cxl := cxlmem.New(eng, 32, 1, 200, &run.Traffic)
 	sec := &fakeSec{fine: fine}
-	pc, err := New(eng, geo, device, cxl, sec, &run.Ops, totalPages, frames)
+	pc, err := New(geo, device, cxl, sec, &run.Ops, totalPages, frames)
 	if err != nil {
 		panic(err)
 	}
@@ -51,17 +50,16 @@ func testSetup(fine bool, frames, totalPages int) (*sim.Engine, *PageCache, *fak
 }
 
 func TestNewValidation(t *testing.T) {
-	eng := sim.NewEngine()
 	geo := config.Default().Geometry
-	if _, err := New(eng, geo, nil, nil, &fakeSec{}, &stats.Ops{}, 10, 0); err == nil {
+	if _, err := New(geo, nil, nil, &fakeSec{}, &stats.Ops{}, 10, 0); err == nil {
 		t.Error("zero frames accepted")
 	}
-	if _, err := New(eng, geo, nil, nil, &fakeSec{}, &stats.Ops{}, 0, 1); err == nil {
+	if _, err := New(geo, nil, nil, &fakeSec{}, &stats.Ops{}, 0, 1); err == nil {
 		t.Error("zero pages accepted")
 	}
 	big := geo
 	big.PageSize = 256 * 128 // 128 chunks > 64-bit mask
-	if _, err := New(eng, big, nil, nil, &fakeSec{}, &stats.Ops{}, 10, 2); err == nil {
+	if _, err := New(big, nil, nil, &fakeSec{}, &stats.Ops{}, 10, 2); err == nil {
 		t.Error("oversized chunk mask accepted")
 	}
 }
@@ -440,91 +438,5 @@ func TestRandomAccessSequencePredictive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLinkOutageRetriesMigration(t *testing.T) {
-	eng, pc, _, run := testSetup(false, 2, 4)
-	plan, err := link.ParsePlan("down@0..4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc.SetLink(link.New(plan, link.Config{Threshold: 10, Cooldown: 1}))
-
-	done := false
-	eng.At(0, func() { pc.Access(0, false, func(securemem.DevAddr) { done = true }) })
-	eng.Run(0)
-	if !done {
-		t.Fatal("access never completed across the outage")
-	}
-	// Four refusals, one retry pause each, before ordinal 4 goes through.
-	if eng.Now() < 4*linkRetryCycles {
-		t.Errorf("outage cost %d cycles, want >= %d", eng.Now(), 4*linkRetryCycles)
-	}
-	if run.Ops.LinkDownRefusals != 4 {
-		t.Errorf("LinkDownRefusals = %d, want 4", run.Ops.LinkDownRefusals)
-	}
-	if run.Ops.LinkFlaps != 2 { // up->down at ordinal 0, down->up at 4
-		t.Errorf("LinkFlaps = %d, want 2", run.Ops.LinkFlaps)
-	}
-	if !run.Ops.HasLink() {
-		t.Error("link activity not visible via HasLink")
-	}
-}
-
-func TestLinkBrownoutChargesLatency(t *testing.T) {
-	engBase, pcBase, _, _ := testSetup(false, 2, 4)
-	engBase.At(0, func() { pcBase.Access(0, false, func(securemem.DevAddr) {}) })
-	engBase.Run(0)
-	baseline := engBase.Now()
-
-	eng, pc, _, run := testSetup(false, 2, 4)
-	plan, err := link.ParsePlan("deg@0..1000:16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc.SetLink(link.New(plan, link.DefaultConfig()))
-	done := false
-	eng.At(0, func() { pc.Access(0, false, func(securemem.DevAddr) { done = true }) })
-	eng.Run(0)
-	if !done {
-		t.Fatal("access never completed under brownout")
-	}
-	if run.Ops.LinkLatencyCycles < 16 {
-		t.Errorf("LinkLatencyCycles = %d, want >= 16", run.Ops.LinkLatencyCycles)
-	}
-	if eng.Now() < baseline+16 {
-		t.Errorf("brownout added %d cycles over baseline %d, want >= 16", eng.Now()-baseline, baseline)
-	}
-}
-
-func TestLinkOutageRetriesEviction(t *testing.T) {
-	eng, pc, _, run := testSetup(true, 2, 6)
-	// Ordinals: fills for pages 0 and 1 consume 0 and 1; the window hits
-	// the eviction writeback and the fill behind it.
-	plan, err := link.ParsePlan("down@2..6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc.SetLink(link.New(plan, link.Config{Threshold: 10, Cooldown: 1}))
-
-	completions := 0
-	eng.At(0, func() {
-		pc.Access(0, true, func(securemem.DevAddr) { completions++ })
-		pc.Access(4096, true, func(securemem.DevAddr) { completions++ })
-	})
-	eng.Run(0)
-	eng.At(eng.Now()+1, func() {
-		pc.Access(2*4096, true, func(securemem.DevAddr) { completions++ })
-	})
-	eng.Run(0)
-	if completions != 3 {
-		t.Fatalf("%d accesses completed, want 3", completions)
-	}
-	if run.Ops.LinkDownRefusals == 0 {
-		t.Error("eviction/fill outage never refused a transfer")
-	}
-	if run.Ops.PagesEvicted == 0 {
-		t.Error("no eviction happened; the outage window missed its target")
 	}
 }

@@ -70,7 +70,8 @@ func (e *parkedError) Unwrap() error { return e.cause }
 // AttachLink arms the system with a CXL link model. queueCap bounds the
 // dirty-writeback queue (non-positive selects DefaultWritebackQueueCap).
 // clock may be nil, in which case degraded-transfer latency costs no
-// simulated time (it is still accounted in LinkLatencyCycles).
+// simulated time (it is still accounted in the link's
+// Stats().ExtraLatencyCycles).
 func (s *System) AttachLink(l *link.Link, clock *sim.Engine, queueCap int) {
 	s.lnk = l
 	if clock != nil {
@@ -122,22 +123,6 @@ func (s *System) linkCheck() error {
 		s.clock.Advance(lat)
 	}
 	return nil
-}
-
-// syncLinkStats mirrors the link's counters into OpStats.
-func (s *System) syncLinkStats() {
-	if s.lnk == nil {
-		return
-	}
-	lst := s.lnk.Stats()
-	s.stats.LinkFlaps = lst.Flaps
-	s.stats.LinkDownRefusals = lst.DownRefusals
-	s.stats.LinkFastFails = lst.FastFails
-	s.stats.BreakerOpens = lst.BreakerOpens
-	s.stats.BreakerCloses = lst.BreakerCloses
-	s.stats.BreakerProbes = lst.BreakerProbes
-	s.stats.LinkDegradedTransfers = lst.DegradedTransfers
-	s.stats.LinkLatencyCycles = lst.ExtraLatencyCycles
 }
 
 // Writeback-queue helpers. The queue slice is shared across shards

@@ -79,8 +79,8 @@ func TestOutageParksEvictionsAndServesResident(t *testing.T) {
 	if st.Retries != 0 || st.RetryBackoffCycles != 0 {
 		t.Fatalf("outage consumed the transient retry budget: %+v", st)
 	}
-	if st.LinkDownRefusals == 0 || st.BreakerOpens == 0 {
-		t.Fatalf("outage not visible in stats: %+v", st)
+	if lst := lnk.Stats(); lst.DownRefusals == 0 || lst.BreakerOpens == 0 {
+		t.Fatalf("outage not visible in link stats: %+v", lst)
 	}
 
 	// Recovery: a miss drains exactly the queue head to free a frame.
@@ -438,8 +438,8 @@ func TestConcurrentOutageProgress(t *testing.T) {
 	if st.Retries != 0 || st.RetryBackoffCycles != 0 {
 		t.Fatalf("outage leaked into the retry budget: %+v", st)
 	}
-	if st.LinkDownRefusals == 0 {
-		t.Fatalf("scripted outage never refused a transfer: %+v", st)
+	if lst := lnk.Stats(); lst.DownRefusals == 0 {
+		t.Fatalf("scripted outage never refused a transfer: %+v", lst)
 	}
 
 	// Recovery: drain through the concurrent reconciler and verify bytes.

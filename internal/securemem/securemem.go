@@ -162,22 +162,14 @@ type OpStats struct {
 	// per-page sector accounting exact under faults.
 	PoisonSkippedRelocations uint64
 
-	// CXL link degradation accounting (populated only when a link.Link is
-	// attached; see link.go). The first block mirrors the link's own
-	// counters; the second tracks the dirty-writeback queue. All fields
-	// are monotone, including the queue high-water mark.
-	LinkFlaps             uint64 // observed link-state transitions
-	LinkDownRefusals      uint64 // home transfers the link refused
-	LinkFastFails         uint64 // home transfers the open breaker fast-failed
-	BreakerOpens          uint64 // closed/half-open -> open transitions
-	BreakerCloses         uint64 // open/half-open -> closed transitions
-	BreakerProbes         uint64 // half-open probe admissions
-	LinkDegradedTransfers uint64 // transfers that paid a brownout surcharge
-	LinkLatencyCycles     uint64 // total brownout cycles charged
-	WritebacksQueued      uint64 // evictions parked on the writeback queue
-	WritebacksDrained     uint64 // parked writebacks completed on recovery
-	WritebacksDropped     uint64 // parks refused by a full queue (ErrQueueFull)
-	WritebackQueuePeak    uint64 // queue high-water mark
+	// Dirty-writeback queue accounting (populated only when a link.Link
+	// is attached; see link.go). All fields are monotone, including the
+	// queue high-water mark. The link counts its own refusals, flaps and
+	// breaker transitions: read them from System.Link().Stats().
+	WritebacksQueued   uint64 // evictions parked on the writeback queue
+	WritebacksDrained  uint64 // parked writebacks completed on recovery
+	WritebacksDropped  uint64 // parks refused by a full queue (ErrQueueFull)
+	WritebackQueuePeak uint64 // queue high-water mark
 
 	// Incremental checkpoint accounting (see checkpoint.go). A checkpoint
 	// journals exactly one page record per dirty page, so
@@ -516,7 +508,6 @@ func (s *System) Model() Model { return s.cfg.Model }
 // Stats returns a copy of the operation counters, with the per-shard
 // access counters summed in.
 func (s *System) Stats() OpStats {
-	s.syncLinkStats()
 	st := s.stats
 	for i := range s.shards {
 		sh := &s.shards[i]

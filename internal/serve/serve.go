@@ -217,10 +217,9 @@ func (d *degrade) peakTier() int {
 // including the OnDone callback, and records its outcome in stripe k's
 // counters. Two requests on disjoint shards therefore write no common
 // cache line apart from the service clock and their class's in-flight
-// count. WithQuiesced, SwapEngine and WithQuiescedSwap lock every
-// stripe's state lock in ascending order, so a snapshot or an engine
-// swap can never interleave with a half-finished request's oracle
-// update.
+// count. WithQuiesced and WithQuiescedSwap lock every stripe's state
+// lock in ascending order, so a snapshot or an engine swap can never
+// interleave with a half-finished request's oracle update.
 //
 // Lock order: stripe.state (ascending) -> the engine's shard locks;
 // stripe.state -> degrade.mu; stripe.mu is a leaf.
@@ -507,15 +506,6 @@ func (s *Server) WithQuiesced(fn func(eng *securemem.Concurrent) error) error {
 	return fn(s.eng)
 }
 
-// SwapEngine atomically replaces the engine (crash recovery: the old
-// engine's device state is gone, the new one was rebuilt by Recover).
-// It waits for in-flight requests to drain first.
-func (s *Server) SwapEngine(eng *securemem.Concurrent) {
-	s.quiesce()
-	defer s.unquiesce()
-	s.eng = eng
-}
-
 // WithQuiescedSwap runs fn quiesced like WithQuiesced and atomically
 // installs the engine fn returns (nil keeps the current one). This is
 // the crash-recovery primitive for a server with live clients: the
@@ -537,7 +527,7 @@ func (s *Server) WithQuiescedSwap(fn func(old *securemem.Concurrent) (*securemem
 }
 
 // Engine returns the current engine. The caller must not retain it
-// across a SwapEngine; quiesced phases should prefer WithQuiesced.
+// across a WithQuiescedSwap; quiesced phases should prefer WithQuiesced.
 func (s *Server) Engine() *securemem.Concurrent {
 	s.stripes[0].state.RLock()
 	defer s.stripes[0].state.RUnlock()

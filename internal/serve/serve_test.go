@@ -255,8 +255,9 @@ func TestDegradationTiers(t *testing.T) {
 
 // TestCheckpointCrashSwap pins the crash-recovery composition the chaos
 // campaign relies on: quiesced checkpoint + oracle snapshot, traffic,
-// crash to the checkpoint via Recover + ConcurrentFrom + SwapEngine +
-// oracle restore, then more traffic and a clean final sweep.
+// crash to the checkpoint via WithQuiescedSwap (Recover + ConcurrentFrom
+// and the oracle restore in one exclusion), then more traffic and a clean
+// final sweep.
 func TestCheckpointCrashSwap(t *testing.T) {
 	eng := testEngine(t, 8, 4, 2)
 	srv := testServer(t, eng, Config{})
@@ -285,14 +286,18 @@ func TestCheckpointCrashSwap(t *testing.T) {
 
 	c.Run(srv) // post-checkpoint traffic that the crash will erase
 
-	sys, err := securemem.Recover(securemem.Config{
-		Geometry: testGeo(), Model: securemem.ModelSalus, TotalPages: 8, DevicePages: 4,
-	}, store.Bytes(), root)
-	if err != nil {
+	if err := srv.WithQuiescedSwap(func(*securemem.Concurrent) (*securemem.Concurrent, error) {
+		sys, err := securemem.Recover(securemem.Config{
+			Geometry: testGeo(), Model: securemem.ModelSalus, TotalPages: 8, DevicePages: 4,
+		}, store.Bytes(), root)
+		if err != nil {
+			return nil, err
+		}
+		c.Restore(snap)
+		return securemem.ConcurrentFrom(sys, 2), nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	srv.SwapEngine(securemem.ConcurrentFrom(sys, 2))
-	c.Restore(snap)
 
 	c.Run(srv) // post-crash traffic against the recovered engine
 

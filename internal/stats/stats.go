@@ -299,14 +299,13 @@ func (tr *Traffic) Total() uint64 { return tr.TierTotal(Device) + tr.TierTotal(C
 
 // Ops counts security and migration operations.
 type Ops struct {
-	Encryptions      uint64 // OTP applications on writes / re-encryptions
-	Decryptions      uint64
-	ReEncryptions    uint64 // re-encryptions caused purely by data relocation
-	MACComputes      uint64
-	MACVerifies      uint64
-	BMTVerifies      uint64
-	BMTUpdates       uint64
-	CounterOverflows uint64
+	Encryptions   uint64 // OTP applications on writes / re-encryptions
+	Decryptions   uint64
+	ReEncryptions uint64 // re-encryptions caused purely by data relocation
+	MACComputes   uint64
+	MACVerifies   uint64
+	BMTVerifies   uint64
+	BMTUpdates    uint64
 
 	PagesMigratedIn      uint64 // CXL -> device
 	PagesEvicted         uint64 // device -> CXL
@@ -316,63 +315,6 @@ type Ops struct {
 	MappingCacheHits     uint64
 	MappingCacheMisses   uint64
 	MappingInvalidations uint64 // directed invalidation messages sent to GPC mapping caches
-
-	// Fault-model activity; all zero in a fault-free run.
-	FaultsTransient       uint64 // transient link faults injected
-	FaultsPoison          uint64 // uncorrectable media errors injected
-	FaultsStuckBit        uint64 // stuck-at media bits injected
-	Retries               uint64 // transient-fault retries issued
-	RetryBackoffCycles    uint64 // simulated cycles spent backing off
-	TransparentRecoveries uint64 // frame quarantines with no data loss
-	FramesQuarantined     uint64 // device frames retired
-	ChunksPoisoned        uint64 // home chunks quarantined
-	PagesPinned           uint64 // pages pinned to home-tier access
-
-	// Checkpoint-journal activity; all zero when no incremental
-	// checkpoints are taken.
-	Checkpoints          uint64 // checkpoint epochs committed
-	CheckpointPages      uint64 // dirty pages journaled across all epochs
-	CheckpointWritebacks uint64 // dirty resident chunks collapsed home pre-journal
-	CheckpointBytes      uint64 // framed journal bytes written
-	CheckpointCycles     uint64 // simulated cycles charged to persistence
-
-	// CXL link degradation activity; all zero when no link model is
-	// attached.
-	LinkFlaps          uint64 // link state transitions observed
-	LinkDownRefusals   uint64 // home transfers refused by a down link
-	LinkFastFails      uint64 // home transfers fast-failed by the open breaker
-	BreakerOpens       uint64 // circuit-breaker closed/half-open -> open transitions
-	BreakerCloses      uint64 // circuit-breaker -> closed recoveries
-	LinkLatencyCycles  uint64 // brownout latency surcharge, simulated cycles
-	WritebacksQueued   uint64 // evictions parked on the dirty-writeback queue
-	WritebacksDrained  uint64 // parked writebacks drained back home
-	WritebacksDropped  uint64 // evictions refused by a full queue
-	WritebackQueuePeak uint64 // queue depth high-water mark
-}
-
-// HasFaults reports whether any fault-model activity was recorded. Every
-// fault counter participates — including the trailing backoff/recovery
-// categories — so a run whose only activity is in a trailing category
-// still renders its faults line and the columns stay comparable across
-// runs.
-func (o *Ops) HasFaults() bool {
-	return o.FaultsTransient != 0 || o.FaultsPoison != 0 || o.FaultsStuckBit != 0 ||
-		o.Retries != 0 || o.RetryBackoffCycles != 0 || o.TransparentRecoveries != 0 ||
-		o.FramesQuarantined != 0 || o.ChunksPoisoned != 0 || o.PagesPinned != 0
-}
-
-// HasLink reports whether any link-degradation activity was recorded.
-func (o *Ops) HasLink() bool {
-	return o.LinkFlaps != 0 || o.LinkDownRefusals != 0 || o.LinkFastFails != 0 ||
-		o.BreakerOpens != 0 || o.BreakerCloses != 0 || o.LinkLatencyCycles != 0 ||
-		o.WritebacksQueued != 0 || o.WritebacksDrained != 0 || o.WritebacksDropped != 0 ||
-		o.WritebackQueuePeak != 0
-}
-
-// HasCheckpoints reports whether any checkpoint-journal activity was
-// recorded.
-func (o *Ops) HasCheckpoints() bool {
-	return o.Checkpoints != 0 || o.CheckpointPages != 0 || o.CheckpointBytes != 0
 }
 
 // Run is the full measurement record of one simulation.
@@ -405,15 +347,6 @@ func (r *Run) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// SecurityTrafficShare returns security bytes / total bytes on a tier.
-func (r *Run) SecurityTrafficShare(t Tier) float64 {
-	tot := r.Traffic.TierTotal(t)
-	if tot == 0 {
-		return 0
-	}
-	return float64(r.Traffic.SecurityBytes(t)) / float64(tot)
-}
-
 // String renders a compact single-run summary.
 func (r *Run) String() string {
 	var b strings.Builder
@@ -429,28 +362,6 @@ func (r *Run) String() string {
 	fmt.Fprintf(&b, "  migrations in=%d evictions=%d chunksBack=%d reenc=%d lazyMAC=%d\n",
 		r.Ops.PagesMigratedIn, r.Ops.PagesEvicted, r.Ops.ChunksWrittenBack,
 		r.Ops.ReEncryptions, r.Ops.MACFetchesLazy)
-	if r.Ops.HasFaults() {
-		fmt.Fprintf(&b, "  faults transient=%d poison=%d stuckBit=%d retries=%d backoff=%d recovered=%d quarantinedFrames=%d poisonedChunks=%d pinnedPages=%d\n",
-			r.Ops.FaultsTransient, r.Ops.FaultsPoison, r.Ops.FaultsStuckBit,
-			r.Ops.Retries, r.Ops.RetryBackoffCycles, r.Ops.TransparentRecoveries,
-			r.Ops.FramesQuarantined, r.Ops.ChunksPoisoned, r.Ops.PagesPinned)
-	}
-	if r.Ops.HasLink() {
-		fmt.Fprintf(&b, "  link flaps=%d downRefusals=%d fastFails=%d breakerOpens=%d breakerCloses=%d latencyCycles=%d wbQueued=%d wbDrained=%d wbDropped=%d wbPeak=%d\n",
-			r.Ops.LinkFlaps, r.Ops.LinkDownRefusals, r.Ops.LinkFastFails,
-			r.Ops.BreakerOpens, r.Ops.BreakerCloses, r.Ops.LinkLatencyCycles,
-			r.Ops.WritebacksQueued, r.Ops.WritebacksDrained, r.Ops.WritebacksDropped,
-			r.Ops.WritebackQueuePeak)
-	}
-	if r.Ops.HasCheckpoints() {
-		perEpoch := 0.0
-		if r.Ops.Checkpoints > 0 {
-			perEpoch = float64(r.Ops.CheckpointBytes) / float64(r.Ops.Checkpoints)
-		}
-		fmt.Fprintf(&b, "  checkpoints epochs=%d pages=%d writebacks=%d journalBytes=%d (%.0fB/epoch) cycles=%d\n",
-			r.Ops.Checkpoints, r.Ops.CheckpointPages, r.Ops.CheckpointWritebacks,
-			r.Ops.CheckpointBytes, perEpoch, r.Ops.CheckpointCycles)
-	}
 	if len(r.CacheHitRates) > 0 {
 		keys := make([]string, 0, len(r.CacheHitRates))
 		for k := range r.CacheHitRates {

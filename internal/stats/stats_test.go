@@ -47,131 +47,10 @@ func TestRunIPC(t *testing.T) {
 	}
 }
 
-func TestSecurityTrafficShare(t *testing.T) {
-	r := Run{}
-	r.Traffic.Add(CXL, Data, 80)
-	r.Traffic.Add(CXL, MAC, 20)
-	if got := r.SecurityTrafficShare(CXL); got != 0.2 {
-		t.Errorf("SecurityTrafficShare = %v, want 0.2", got)
-	}
-	if got := r.SecurityTrafficShare(Device); got != 0 {
-		t.Errorf("SecurityTrafficShare on empty tier = %v, want 0", got)
-	}
-}
-
 func TestRunString(t *testing.T) {
 	r := Run{Workload: "bfs", Model: "salus", Cycles: 10, Instructions: 20}
 	s := r.String()
 	for _, frag := range []string{"workload=bfs", "model=salus", "ipc=2.0000", "device", "cxl"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("String() missing %q:\n%s", frag, s)
-		}
-	}
-}
-
-func TestRunStringFaultsLine(t *testing.T) {
-	r := Run{Workload: "bfs", Model: "salus"}
-	if strings.Contains(r.String(), "faults ") {
-		t.Errorf("fault-free run should not render a faults line:\n%s", r.String())
-	}
-	if r.Ops.HasFaults() {
-		t.Error("zero Ops reported HasFaults")
-	}
-	r.Ops.FaultsTransient = 7
-	r.Ops.Retries = 7
-	r.Ops.ChunksPoisoned = 2
-	if !r.Ops.HasFaults() {
-		t.Error("non-zero fault counters not reported by HasFaults")
-	}
-	s := r.String()
-	for _, frag := range []string{"faults transient=7", "retries=7", "poisonedChunks=2"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("String() missing %q:\n%s", frag, s)
-		}
-	}
-}
-
-func TestHasFaultsIncludesTrailingCategories(t *testing.T) {
-	// The faults line must render (with its full, stable column set) even
-	// when only a trailing category is non-zero; the old predicate skipped
-	// RetryBackoffCycles and TransparentRecoveries, silently dropping the
-	// line from such runs.
-	backoff := Run{}
-	backoff.Ops.RetryBackoffCycles = 64
-	if !backoff.Ops.HasFaults() {
-		t.Error("backoff-only Ops not reported by HasFaults")
-	}
-	if !strings.Contains(backoff.String(), "backoff=64") {
-		t.Errorf("backoff-only run dropped its faults line:\n%s", backoff.String())
-	}
-	recovered := Run{}
-	recovered.Ops.TransparentRecoveries = 3
-	if !recovered.Ops.HasFaults() {
-		t.Error("recovery-only Ops not reported by HasFaults")
-	}
-	if !strings.Contains(recovered.String(), "recovered=3") {
-		t.Errorf("recovery-only run dropped its faults line:\n%s", recovered.String())
-	}
-	// Column stability: the line carries every category even when zero.
-	for _, frag := range []string{"transient=0", "poison=0", "stuckBit=0", "retries=0",
-		"recovered=0", "quarantinedFrames=0", "poisonedChunks=0", "pinnedPages=0"} {
-		if !strings.Contains(backoff.String(), frag) {
-			t.Errorf("faults line missing stable column %q:\n%s", frag, backoff.String())
-		}
-	}
-}
-
-func TestRunStringLinkLine(t *testing.T) {
-	r := Run{Workload: "bfs", Model: "salus"}
-	if strings.Contains(r.String(), "link ") {
-		t.Errorf("link-free run should not render a link line:\n%s", r.String())
-	}
-	if r.Ops.HasLink() {
-		t.Error("zero Ops reported HasLink")
-	}
-	r.Ops.LinkFlaps = 4
-	r.Ops.LinkDownRefusals = 9
-	r.Ops.BreakerOpens = 2
-	r.Ops.WritebacksQueued = 3
-	r.Ops.WritebacksDrained = 3
-	r.Ops.WritebackQueuePeak = 2
-	if !r.Ops.HasLink() {
-		t.Error("non-zero link counters not reported by HasLink")
-	}
-	s := r.String()
-	for _, frag := range []string{"link flaps=4", "downRefusals=9", "breakerOpens=2",
-		"wbQueued=3", "wbDrained=3", "wbDropped=0", "wbPeak=2"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("String() missing %q:\n%s", frag, s)
-		}
-	}
-	// A drain with zero flaps (e.g. only breaker fast-fails recorded)
-	// still renders the line.
-	just := Run{}
-	just.Ops.WritebackQueuePeak = 1
-	if !just.Ops.HasLink() || !strings.Contains(just.String(), "wbPeak=1") {
-		t.Error("trailing-only link counter dropped the link line")
-	}
-}
-
-func TestRunStringCheckpointLine(t *testing.T) {
-	r := Run{Workload: "bfs", Model: "salus"}
-	if strings.Contains(r.String(), "checkpoints ") {
-		t.Errorf("checkpoint-free run should not render a checkpoints line:\n%s", r.String())
-	}
-	if r.Ops.HasCheckpoints() {
-		t.Error("zero Ops reported HasCheckpoints")
-	}
-	r.Ops.Checkpoints = 4
-	r.Ops.CheckpointPages = 9
-	r.Ops.CheckpointWritebacks = 5
-	r.Ops.CheckpointBytes = 4000
-	r.Ops.CheckpointCycles = 300
-	if !r.Ops.HasCheckpoints() {
-		t.Error("non-zero checkpoint counters not reported by HasCheckpoints")
-	}
-	s := r.String()
-	for _, frag := range []string{"checkpoints epochs=4", "pages=9", "writebacks=5", "journalBytes=4000", "(1000B/epoch)", "cycles=300"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("String() missing %q:\n%s", frag, s)
 		}

@@ -135,7 +135,7 @@ func Run(opts Options) (*stats.Run, error) {
 		return nil, fmt.Errorf("system: unknown model %d", opts.Model)
 	}
 
-	pc, err := pagecache.New(eng, geo, device, cxl, sec, &run.Ops, totalPages, frames)
+	pc, err := pagecache.New(geo, device, cxl, sec, &run.Ops, totalPages, frames)
 	if err != nil {
 		return nil, err
 	}

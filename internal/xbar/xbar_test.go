@@ -33,7 +33,7 @@ func testXbar(t *testing.T, mapEntries, dirtyEntries int) (*sim.Engine, *Xbar, *
 	cfg.Security.DirtyBufferEntries = dirtyEntries
 	device := dram.New(eng, 4, 32, 50, uint64(cfg.Geometry.ChunkSize), &run.Traffic)
 	cxl := cxlmem.New(eng, 32, 1, 200, &run.Traffic)
-	pc, err := pagecache.New(eng, cfg.Geometry, device, cxl, passSec{}, &run.Ops, 64, 8)
+	pc, err := pagecache.New(cfg.Geometry, device, cxl, passSec{}, &run.Ops, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

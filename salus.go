@@ -65,6 +65,8 @@ type System = securemem.System
 type Concurrent = securemem.Concurrent
 
 // OpStats counts the security and migration operations a System performed.
+// Link counters are not among them: read those from the attached Link's
+// Stats().
 type OpStats = securemem.OpStats
 
 // Geometry fixes the layout constants (sector, block, chunk, page sizes).
