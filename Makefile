@@ -141,7 +141,8 @@ ladderbench-build:
 	$(GO) -C _ladderbench vet ./... && $(GO) -C _ladderbench test ./...
 
 # cutover-bench runs BenchmarkMigrateCutover once: a migration of a
-# 1024-page tenant whose quiesced cutover time it reports as pause-ms.
+# 1024-page tenant whose quiesced cutover time it reports as pause-ms
+# and whose bootstrap full checkpoint it reports as bootstrap-ms.
 # One iteration keeps it compiling and running; it gates nothing.
 cutover-bench:
 	$(GO) test ./internal/migrate -run '^$$' -bench '^BenchmarkMigrateCutover$$' -benchtime 1x

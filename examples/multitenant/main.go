@@ -105,7 +105,7 @@ func main() {
 	if err := beta.Write(beta.Base()+2*4096, bytes.Repeat([]byte{0xB2}, 32)); err != nil {
 		log.Fatalf("FAILED: beta write failed during alpha's storm: %v", err)
 	}
-	betaBefore := beta.StateDigest() // beta's state going into alpha's recovery
+	betaBefore := beta.StateDigestFromScratch() // beta's state going into alpha's recovery
 	if err := pool.RecoverTenant("alpha", store.Bytes(), root); err != nil {
 		log.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func main() {
 		wrecked, alpha.Epoch())
 
 	fmt.Println("step 5 — blast radius: beta is byte-identical")
-	if beta.StateDigest() != betaBefore {
+	if beta.StateDigestFromScratch() != betaBefore {
 		log.Fatal("FAILED: beta's state digest moved during alpha's crash cycle")
 	}
 	if err := beta.Read(beta.Base(), buf); err != nil || !bytes.Equal(buf, secret) {

@@ -162,7 +162,7 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 		if err != nil {
 			return err
 		}
-		marks = append(marks, crashMark{root: root, points: tape.Points(), digest: sys.StateDigest(), oracle: o.clone()})
+		marks = append(marks, crashMark{root: root, points: tape.Points(), digest: sys.StateDigestFromScratch(), oracle: o.clone()})
 		res.Epochs++
 		return nil
 	}
@@ -205,7 +205,7 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 			rec, err := securemem.Recover(cfg, durable, m.root)
 			switch {
 			case err == nil:
-				if rec.StateDigest() != m.digest {
+				if rec.StateDigestFromScratch() != m.digest {
 					return fail(len(seq.Ops), cut, "recovered state diverges from committed epoch %d", m.root.Epoch)
 				}
 				res.Recoveries++

@@ -188,7 +188,7 @@ func migrateBystander(t *tenant.Tenant, seed int64) ([32]byte, error) {
 	if err := t.Write(t.Base()+securemem.HomeAddr(64), data); err != nil {
 		return [32]byte{}, err
 	}
-	return t.StateDigest(), nil
+	return t.StateDigestFromScratch(), nil
 }
 
 // runMigrateSeed runs one seed's full phase sequence, folds its
@@ -280,7 +280,7 @@ func runMigrateSeed(plan MigratePlan, seed int64, res *MigrateResult) []string {
 	if why := migrateVerify(ctlT, oracle, ps); why != "" {
 		fail("phase A control vs oracle: %s", why)
 	}
-	if sd, dd := srcT.StateDigest(), dstT.StateDigest(); sd != dd {
+	if sd, dd := srcT.StateDigestFromScratch(), dstT.StateDigestFromScratch(); sd != dd {
 		fail("phase A source/destination digests diverge after cutover")
 	}
 	res.Migrations++
@@ -456,7 +456,7 @@ func runMigrateSeed(plan MigratePlan, seed int64, res *MigrateResult) []string {
 			return nil, nil, [32]byte{}
 		}
 		t, _ := p.Tenant(roleMigrant)
-		return p, r, t.StateDigest()
+		return p, r, t.StateDigestFromScratch()
 	}
 	// feed streams frames and returns the first error.
 	feed := func(r *migrate.Receiver, frames ...[]byte) error {
@@ -469,7 +469,7 @@ func runMigrateSeed(plan MigratePlan, seed int64, res *MigrateResult) []string {
 	}
 	untouched := func(p *tenant.Pool, pristine [32]byte, what string) {
 		t, _ := p.Tenant(roleMigrant)
-		if t.Epoch() != 0 || t.StateDigest() != pristine {
+		if t.Epoch() != 0 || t.StateDigestFromScratch() != pristine {
 			fail("%s left the destination modified", what)
 		}
 	}
@@ -696,7 +696,7 @@ func runMigrateSeed(plan MigratePlan, seed int64, res *MigrateResult) []string {
 	// digests never moved and they absorbed zero denials, faults, or
 	// quota refusals from any migration, attack, crash, or retirement. ---
 	for _, w := range witnesses {
-		if got := w.t.StateDigest(); got != w.dig {
+		if got := w.t.StateDigestFromScratch(); got != w.dig {
 			fail("bystander on %s: state digest moved", w.host)
 		}
 		ops := w.t.Stats()

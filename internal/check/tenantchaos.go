@@ -409,8 +409,8 @@ func runTenantSeed(plan TenantPlan, seed int64, res *TenantResult, avail *[3][2]
 	// --- Blast radius: fingerprint the healthy tenants, then wreck the
 	// attacker on purpose — poison storm, in-slice ciphertext splatter,
 	// a final crash/recover — and prove the fingerprints never move. ---
-	digestV := victim.StateDigest()
-	digestB := bystander.StateDigest()
+	digestV := victim.StateDigestFromScratch()
+	digestB := bystander.StateDigestFromScratch()
 
 	poison := fault.NewRatePlan(seed^0x90150, fault.Rates{Poison: 0.5}, 3)
 	attacker.AttachFaults(poison, serveEnginePolicy(), nil)
@@ -434,10 +434,10 @@ func runTenantSeed(plan TenantPlan, seed int64, res *TenantResult, avail *[3][2]
 	}
 	cs.crash(recoverAttacker)
 
-	if victim.StateDigest() != digestV {
+	if victim.StateDigestFromScratch() != digestV {
 		fail("victim state digest moved while the attacker was wrecked")
 	}
-	if bystander.StateDigest() != digestB {
+	if bystander.StateDigestFromScratch() != digestB {
 		fail("bystander state digest moved while the attacker was wrecked")
 	}
 	// And the healthy tenants still serve, byte-correct.

@@ -86,10 +86,7 @@ func TestReplaySinceMatchesReplay(t *testing.T) {
 		for _, d := range deltas {
 			written += len(d)
 		}
-		deltas = append(deltas, store.Tail(written))
-	}
-	if got := store.Tail(len(store.Bytes())); got != nil {
-		t.Fatalf("Tail past the end = %q, want nil", got)
+		deltas = append(deltas, store.Bytes()[written:])
 	}
 	whole, err := Replay(store.Bytes(), 4)
 	if err != nil {
@@ -329,5 +326,94 @@ func TestJournalRejectsReservedType(t *testing.T) {
 	}
 	if err := j.Append(0xFF, 1, nil); err == nil {
 		t.Fatal("Append with reserved type accepted")
+	}
+}
+
+// TestMemStoreSegments: writes of every size, including ones that
+// straddle segments and ones larger than a segment, read back through
+// Bytes and Take exactly as one contiguous append would, and Take
+// leaves an empty store that keeps accepting writes.
+func TestMemStoreSegments(t *testing.T) {
+	m := NewMemStore()
+	var want []byte
+	for i, n := range []int{0, 1, 19, 5193, memSegment - 7, 3 * memSegment, 5721, 64} {
+		p := bytes.Repeat([]byte{byte(i + 1)}, n)
+		if err := m.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p...)
+	}
+	if !bytes.Equal(m.Bytes(), want) {
+		t.Fatal("Bytes differs from the concatenated writes")
+	}
+	if got := m.Take(); !bytes.Equal(got, want) {
+		t.Fatal("Take differs from the written bytes")
+	}
+	if m.Bytes() != nil || m.Take() != nil {
+		t.Fatal("store not empty after Take")
+	}
+	if err := m.Write([]byte("next round")); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Take(); string(got) != "next round" {
+		t.Fatalf("Take after Take = %q", got)
+	}
+}
+
+// TestMemStoreWriteCopiesOnlyItsRecord: once a journal holds megabytes,
+// appending one more record still allocates only a fresh segment now
+// and then, never a buffer for the whole journal.
+func TestMemStoreWriteCopiesOnlyItsRecord(t *testing.T) {
+	m := NewMemStore()
+	rec := make([]byte, 5200)
+	for m.n < 4<<20 {
+		if err := m.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var grown int
+	allocs := testing.AllocsPerRun(200, func() {
+		segs := cap(m.segs)
+		if err := m.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		if cap(m.segs) != segs {
+			grown++
+		}
+	})
+	// One 64 KiB segment per ~12 records, plus the rare growth of the
+	// segment index.
+	if allocs > 0.2 {
+		t.Fatalf("%.2f allocations per record append", allocs)
+	}
+	if grown > 2 {
+		t.Fatalf("segment index grew %d times in 200 appends", grown)
+	}
+}
+
+// TestAppendEncodedMatchesAppend: a payload encoded in place frames to
+// the same bytes as the same payload passed to Append.
+func TestAppendEncodedMatchesAppend(t *testing.T) {
+	payload := []byte("page record payload")
+	a, b := NewMemStore(), NewMemStore()
+	ja, jb := NewJournal(a), NewJournal(b)
+	if err := ja.Append(1, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := jb.AppendEncoded(1, 1, len(payload), func(p []byte) { copy(p, payload) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := ja.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := jb.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) || ja.BytesWritten() != jb.BytesWritten() {
+		t.Fatal("AppendEncoded framed differently from Append")
+	}
+	recs := mustReplay(t, b.Bytes(), 1)
+	if len(recs) != 1 || !bytes.Equal(recs[0].Payload, payload) {
+		t.Fatalf("replayed %+v", recs)
 	}
 }

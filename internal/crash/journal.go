@@ -49,6 +49,7 @@ type Record struct {
 // job and operates on raw medium bytes.
 type Journal struct {
 	store    StableStore
+	frame    []byte // record buffer reused by every append; stores copy what they keep
 	written  uint64
 	curEpoch uint64
 	pending  uint32 // data records appended in curEpoch since its last commit
@@ -64,6 +65,14 @@ func NewJournal(store StableStore) *Journal {
 // epoch abandons any uncommitted records of the previous one (Replay will
 // discard them).
 func (j *Journal) Append(typ byte, epoch uint64, payload []byte) error {
+	return j.AppendEncoded(typ, epoch, len(payload), func(p []byte) { copy(p, payload) })
+}
+
+// AppendEncoded is Append for an n-byte payload that encode writes
+// straight into the framed record, so a payload built for the journal
+// is never built elsewhere and copied in. encode must fill all n bytes
+// and must not keep the slice.
+func (j *Journal) AppendEncoded(typ byte, epoch uint64, n int, encode func(payload []byte)) error {
 	if typ >= TypeCommit {
 		return fmt.Errorf("crash: record type %#x reserved for commit records", typ)
 	}
@@ -71,10 +80,9 @@ func (j *Journal) Append(typ byte, epoch uint64, payload []byte) error {
 		j.curEpoch = epoch
 		j.pending = 0
 	}
-	if err := j.store.Write(encodeRecord(typ, epoch, payload)); err != nil {
+	if err := j.write(typ, epoch, n, encode); err != nil {
 		return err
 	}
-	j.written += uint64(recHeaderLen + len(payload) + recTrailerLen)
 	j.pending++
 	return nil
 }
@@ -90,12 +98,9 @@ func (j *Journal) Commit(epoch uint64) error {
 	if err := j.store.Sync(); err != nil {
 		return err
 	}
-	payload := make([]byte, 4)
-	binary.LittleEndian.PutUint32(payload, count)
-	if err := j.store.Write(encodeRecord(TypeCommit, epoch, payload)); err != nil {
+	if err := j.write(TypeCommit, epoch, 4, func(p []byte) { binary.LittleEndian.PutUint32(p, count) }); err != nil {
 		return err
 	}
-	j.written += uint64(recHeaderLen + len(payload) + recTrailerLen)
 	if err := j.store.Sync(); err != nil {
 		return err
 	}
@@ -107,16 +112,26 @@ func (j *Journal) Commit(epoch uint64) error {
 // BytesWritten returns the total framed bytes handed to the store.
 func (j *Journal) BytesWritten() uint64 { return j.written }
 
-func encodeRecord(typ byte, epoch uint64, payload []byte) []byte {
-	rec := make([]byte, recHeaderLen+len(payload)+recTrailerLen)
+// write frames one record in the reusable buffer, with encode filling
+// its n-byte payload in place, and hands it to the store as one write.
+func (j *Journal) write(typ byte, epoch uint64, n int, encode func(payload []byte)) error {
+	size := recHeaderLen + n + recTrailerLen
+	if cap(j.frame) < size {
+		j.frame = make([]byte, size)
+	}
+	rec := j.frame[:size]
 	copy(rec, recMagic[:])
 	rec[2] = typ
 	binary.LittleEndian.PutUint64(rec[3:], epoch)
-	binary.LittleEndian.PutUint32(rec[11:], uint32(len(payload)))
-	copy(rec[recHeaderLen:], payload)
-	sum := crc32.ChecksumIEEE(rec[2 : recHeaderLen+len(payload)])
-	binary.LittleEndian.PutUint32(rec[recHeaderLen+len(payload):], sum)
-	return rec
+	binary.LittleEndian.PutUint32(rec[11:], uint32(n))
+	encode(rec[recHeaderLen : recHeaderLen+n])
+	sum := crc32.ChecksumIEEE(rec[2 : recHeaderLen+n])
+	binary.LittleEndian.PutUint32(rec[recHeaderLen+n:], sum)
+	if err := j.store.Write(rec); err != nil {
+		return err
+	}
+	j.written += uint64(size)
+	return nil
 }
 
 // Replay scans raw journal bytes and returns, in order, the data records

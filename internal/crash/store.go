@@ -4,17 +4,31 @@ import "math/rand"
 
 // MemStore is a trivial in-memory StableStore with no failure model: every
 // write is immediately durable. It backs normal (non-injected) checkpoint
-// runs and tests.
+// runs and tests. Writes land in fixed-size segments, so a write copies
+// only its own bytes: a growing journal is never re-copied to make room.
 type MemStore struct {
-	buf []byte
+	segs [][]byte // written bytes in order; every segment but the last is full
+	n    int      // total bytes written
 }
+
+// memSegment is the capacity of one MemStore segment.
+const memSegment = 64 << 10
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
 
 // Write appends p.
 func (m *MemStore) Write(p []byte) error {
-	m.buf = append(m.buf, p...)
+	m.n += len(p)
+	for len(p) > 0 {
+		if len(m.segs) == 0 || len(m.segs[len(m.segs)-1]) == memSegment {
+			m.segs = append(m.segs, make([]byte, 0, memSegment))
+		}
+		last := &m.segs[len(m.segs)-1]
+		k := min(len(p), memSegment-len(*last))
+		*last = append(*last, p[:k]...)
+		p = p[k:]
+	}
 	return nil
 }
 
@@ -22,16 +36,24 @@ func (m *MemStore) Write(p []byte) error {
 func (m *MemStore) Sync() error { return nil }
 
 // Bytes returns a copy of everything written.
-func (m *MemStore) Bytes() []byte { return append([]byte(nil), m.buf...) }
-
-// Tail returns a copy of everything written from byte off on: the
-// journal delta since a reader last looked, without copying the
-// prefix it already has. off beyond the written length returns nil.
-func (m *MemStore) Tail(off int) []byte {
-	if off >= len(m.buf) {
+func (m *MemStore) Bytes() []byte {
+	if m.n == 0 {
 		return nil
 	}
-	return append([]byte(nil), m.buf[off:]...)
+	out := make([]byte, 0, m.n)
+	for _, seg := range m.segs {
+		out = append(out, seg...)
+	}
+	return out
+}
+
+// Take returns everything written and empties the store, handing the
+// bytes off to a reader that keeps them, so the store never holds more
+// than what was written since the last Take.
+func (m *MemStore) Take() []byte {
+	out := m.Bytes()
+	m.segs, m.n = nil, 0
+	return out
 }
 
 // DamageMode selects how the writes issued after the last successful Sync

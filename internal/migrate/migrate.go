@@ -195,7 +195,7 @@ type Session struct {
 	recv *Receiver
 	ch   *chain
 
-	store   *crash.MemStore
+	store   *crash.MemStore // the journal since the last round: each round takes it whole
 	journal *crash.Journal
 	framed  int // journal bytes already cut into frames
 
@@ -357,7 +357,10 @@ func (s *Session) syncRound(final bool) error {
 	if err != nil {
 		return fmt.Errorf("migrate: source checkpoint: %w", err)
 	}
-	delta := s.store.Tail(s.framed)
+	// Hand the round off and drop it: the store never holds an earlier
+	// round, so the final round's appends inside the quiesce copy only
+	// the final delta.
+	delta := s.store.Take()
 	s.lastDelta = len(delta)
 	s.framed += len(delta)
 

@@ -55,15 +55,75 @@ func (s *System) AttachClock(clock *sim.Engine) { s.clock = clock }
 // successful Checkpoint will commit as epoch+1.
 func (s *System) Epoch() uint64 { return s.epoch }
 
-// markCkptDirty records that a page's home-tier security state changed
-// and must ride the next checkpoint epoch. It is called from the two
-// chokepoints every home mutation funnels through: storeHomeMAC (data and
-// MAC changes) and salusSetHomeMajor (counter changes).
-func (s *System) markCkptDirty(page int) {
+// markDirty records that a page's home-tier state changed: the page must
+// ride the next checkpoint epoch, and its digest leaf is stale. It is
+// called from the two chokepoints every home mutation funnels through:
+// storeHomeMAC (data and MAC changes) and storeHomeMajor (counter
+// changes).
+func (s *System) markDirty(page int) {
+	s.markStale(page)
 	// Test before setting: neighbouring pages belong to other shards, and
 	// a store on every write would bounce their shared cache line.
 	if s.ckptDirty != nil && page >= 0 && page < len(s.ckptDirty) && !s.ckptDirty[page] {
 		s.ckptDirty[page] = true
+	}
+}
+
+// markStale records that a page's digest leaf no longer matches its
+// home-tier state. The attack-injection hooks call it alone: a tamper
+// moves the digest but is no checkpoint delta.
+func (s *System) markStale(page int) {
+	if page >= 0 && page < len(s.digestStale) && !s.digestStale[page] {
+		s.digestStale[page] = true
+	}
+}
+
+// markAllStale marks every digest leaf stale. It runs when every page
+// record changes at once (New, Resume, ReKey) and from the whole-system
+// operations that find the record layout changed (syncLeafLayout).
+func (s *System) markAllStale() {
+	for p := range s.digestStale {
+		s.digestStale[p] = true
+	}
+}
+
+// syncLeafLayout marks every leaf stale when the split state was armed
+// since the leaves were hashed. ensureSplitState changes every page
+// record (the split flag and split sectors join it), but it runs under
+// one shard lock and so cannot touch other shards' stale bits itself;
+// the callers here hold every shard lock.
+func (s *System) syncLeafLayout() {
+	if split := s.cxlSplit != nil; split != s.leafSplit {
+		s.leafSplit = split
+		s.markAllStale()
+	}
+}
+
+// setLeaf makes the hash of rec, page's just-encoded journal record, the
+// page's digest leaf. It is the one leaf routine: Checkpoint calls it on
+// the records it journals for stale pages, and refreshLeaves on records
+// it encodes.
+func (s *System) setLeaf(page int, rec []byte) {
+	sum := sha256.Sum256(rec)
+	copy(s.leaves[page*sha256.Size:], sum[:])
+	s.digestStale[page] = false
+	s.leafRefreshes++
+}
+
+// refreshLeaves re-hashes the stale leaves of the pages keep selects
+// (every page when keep is nil).
+func (s *System) refreshLeaves(keep []bool) {
+	s.syncLeafLayout()
+	var rec []byte
+	for p, stale := range s.digestStale {
+		if !stale || (keep != nil && !keep[p]) {
+			continue
+		}
+		if rec == nil {
+			rec = make([]byte, s.pageRecordLen())
+		}
+		s.encodePageRecord(p, rec)
+		s.setLeaf(p, rec)
 	}
 }
 
@@ -106,11 +166,21 @@ func (s *System) Checkpoint(j *crash.Journal) (TrustedRoot, error) {
 		}
 	}
 	sort.Ints(pages)
+	s.syncLeafLayout()
+	recLen := s.pageRecordLen()
 	for _, page := range pages {
 		if err := s.checkpointWriteback(page); err != nil {
 			return root, err
 		}
-		if err := j.Append(RecordPage, epoch, s.encodePageRecord(page)); err != nil {
+		// The record is encoded once, in the journal's own buffer, and
+		// its hash becomes the page's digest leaf if that is stale (a
+		// fresh leaf already hashes this very record).
+		if err := j.AppendEncoded(RecordPage, epoch, recLen, func(rec []byte) {
+			s.encodePageRecord(page, rec)
+			if s.digestStale[page] {
+				s.setLeaf(page, rec)
+			}
+		}); err != nil {
 			return root, err
 		}
 	}
@@ -166,7 +236,7 @@ func (s *System) FullCheckpoint(j *crash.Journal) (TrustedRoot, error) {
 // counter state live (post-collapse the group equals its fetched-fresh
 // form), and the work is accounted as CheckpointWritebacks — eviction
 // accounting stays untouched.
-func (s *System) checkpointWriteback(page int) error {
+func (s *System) checkpointWriteback(page int) (err error) {
 	fi := s.pageTable[page]
 	if fi < 0 {
 		return nil
@@ -175,9 +245,18 @@ func (s *System) checkpointWriteback(page int) error {
 	if f.dirty == 0 {
 		return nil
 	}
+	// Tree leaves are refreshed once per page, after the loop and even
+	// when it fails, so no stored major is ever left without its leaf.
+	var moved uint64 // chunks whose major moved
+	defer func() {
+		if terr := s.writebackLeaves(page, fi, moved); err == nil {
+			err = terr
+		}
+	}()
 	cs := s.geo.ChunkSize
 	ss := s.geo.SectorSize
-	pt := make([]byte, ss)
+	var sector [32]byte // a stack scratch, as in salusEvict
+	pt := sector[:]
 	for c := 0; c < s.geo.ChunksPerPage(); c++ {
 		if f.dirty&(1<<uint(c)) == 0 {
 			continue
@@ -217,64 +296,95 @@ func (s *System) checkpointWriteback(page int) error {
 			}
 			copy(s.cxlData[ha:ha+uint64(ss)], ct)
 		}
-		if err := s.salusSetHomeMajor(homeChunk, newMajor); err != nil {
-			return err
-		}
+		s.storeHomeMajor(homeChunk, newMajor)
+		moved |= 1 << uint(c)
 		for b := 0; b < s.geo.BlocksPerChunk(); b++ {
 			blockIdx := int(chunkHomeBase)/s.geo.BlockSize + b
 			s.macSectors[blockIdx].Major = newMajor
-		}
-		// The collapsed group stays live on the device side; refresh its
-		// tree leaf so later device accesses verify.
-		if err := s.salusDevTreeUpdate(gi); err != nil {
-			return err
 		}
 		f.dirty &^= 1 << uint(c)
 	}
 	return nil
 }
 
-// encodePageRecord serialises the home-tier state of one page.
-func (s *System) encodePageRecord(page int) []byte {
+// writebackLeaves refreshes the CXL tree leaves and the device-subtree
+// leaves covering the chunks in moved of a page resident in frame fi,
+// each leaf once: a fully dirty page's chunks share a few collapsed
+// sectors and device leaves. The collapsed groups stay live on the
+// device side, so their leaves must be current for later accesses.
+func (s *System) writebackLeaves(page, fi int, moved uint64) error {
+	cpp := s.geo.ChunksPerPage()
+	homeLeaf, devLeaf := -1, -1
+	for c := 0; c < cpp; c++ {
+		if moved&(1<<uint(c)) == 0 {
+			continue
+		}
+		homeChunk := page*cpp + c
+		if l := homeChunk / counters.CollapsedMajors; l != homeLeaf {
+			homeLeaf = l
+			if err := s.salusHomeTreeUpdate(homeChunk); err != nil {
+				return err
+			}
+		}
+		if l := c / counters.GroupsPerSector; l != devLeaf {
+			devLeaf = l
+			if err := s.salusDevTreeUpdate(fi*cpp + c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// encodePageRecord serialises the home-tier state of one page into rec,
+// which must be pageRecordLen bytes long.
+func (s *System) encodePageRecord(page int, rec []byte) {
 	g := s.geo
-	var buf []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(page))
-	buf = append(buf, tmp[:]...)
-	buf = append(buf, s.cxlData[page*g.PageSize:(page+1)*g.PageSize]...)
+	binary.LittleEndian.PutUint64(rec, uint64(page))
+	off := 8
+	off += copy(rec[off:], s.cxlData[page*g.PageSize:(page+1)*g.PageSize])
 	blockBase := page * g.BlocksPerPage()
 	for b := 0; b < g.BlocksPerPage(); b++ {
 		enc := s.macSectors[blockBase+b].Encode()
-		buf = append(buf, enc[:]...)
+		off += copy(rec[off:], enc[:])
 	}
 	chunkBase := page * g.ChunksPerPage()
 	for c := 0; c < g.ChunksPerPage(); c++ {
 		chunk := chunkBase + c
 		major := s.collapsed[chunk/counters.CollapsedMajors].Majors[chunk%counters.CollapsedMajors]
-		var m [4]byte
-		binary.LittleEndian.PutUint32(m[:], major)
-		buf = append(buf, m[:]...)
+		binary.LittleEndian.PutUint32(rec[off:], major)
+		off += 4
 	}
 	if s.cxlSplit == nil {
-		buf = append(buf, 0)
-		return buf
+		rec[off] = 0
+		return
 	}
-	buf = append(buf, 1)
+	rec[off] = 1
+	off++
 	for c := 0; c < g.ChunksPerPage(); c++ {
 		chunk := chunkBase + c
+		rec[off] = 0
 		if s.splitDirty[chunk] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+			rec[off] = 1
 		}
+		off++
 		enc := s.cxlSplit[chunk].Encode()
-		buf = append(buf, enc[:]...)
+		off += copy(rec[off:], enc[:])
 	}
-	return buf
 }
 
-// pageRecordLen returns the two valid lengths of a page record payload.
-func pageRecordLen(g config.Geometry) (plain, split int) {
+// pageRecordLen returns the length of this system's page records: the
+// split layout once split state exists, the plain one before.
+func (s *System) pageRecordLen() int {
+	plain, split := pageRecordLens(s.geo)
+	if s.cxlSplit != nil {
+		return split
+	}
+	return plain
+}
+
+// pageRecordLens returns the two valid lengths of a page record payload.
+func pageRecordLens(g config.Geometry) (plain, split int) {
 	plain = 8 + g.PageSize + g.BlocksPerPage()*32 + g.ChunksPerPage()*4 + 1
 	split = plain + g.ChunksPerPage()*33
 	return plain, split
@@ -366,7 +476,7 @@ func (r *Replayer) apply(delta []byte, root TrustedRoot) error {
 		return err
 	}
 	g := s.geo
-	plainLen, splitLen := pageRecordLen(g)
+	plainLen, splitLen := pageRecordLens(g)
 	leaves := make([]bool, len(s.collapsed))
 	var splitChunks []bool
 	for _, rec := range recs {
@@ -388,6 +498,7 @@ func (r *Replayer) apply(delta []byte, root TrustedRoot) error {
 		}
 		p := int(page)
 		r.covered[p] = true
+		s.markStale(p)
 		off := 8
 		copy(s.cxlData[p*g.PageSize:(p+1)*g.PageSize], rec.Payload[off:off+g.PageSize])
 		off += g.PageSize
@@ -463,6 +574,10 @@ func (r *Replayer) apply(delta []byte, root TrustedRoot) error {
 		return err
 	}
 	s.epoch = root.Epoch
+	// Hash the replayed pages now, off the serving path, so the digest
+	// at cutover has only what later deltas change left to do. Pages no
+	// record covered yet hold no ciphertext to hash.
+	s.refreshLeaves(r.covered)
 	return nil
 }
 
@@ -542,34 +657,23 @@ func (r *Replayer) Discard() {
 // rebuilt on demand from the home state. Dirty resident chunks not yet
 // written back make the digest diverge from a recovered twin — call it
 // right after Checkpoint, when the home tier is current.
+//
+// The digest is one SHA-256 over the epoch, the per-page leaves in page
+// order (leaf p is the SHA-256 of page p's journal record, exactly as
+// encodePageRecord lays it out), and the poisoned, quarantined and
+// pinned lists. Only the leaves the dirty tracking marked stale since
+// they were last hashed are rehashed, so the cost follows the delta.
+// Other models have no digest and return the zero value.
 func (s *System) StateDigest() [32]byte {
+	if s.cfg.Model != ModelSalus {
+		return [32]byte{}
+	}
+	s.refreshLeaves(nil)
 	h := sha256.New()
 	var tmp [8]byte
 	binary.LittleEndian.PutUint64(tmp[:], s.epoch)
 	h.Write(tmp[:])
-	h.Write(s.cxlData)
-	for i := range s.macSectors {
-		enc := s.macSectors[i].Encode()
-		h.Write(enc[:])
-	}
-	for i := range s.collapsed {
-		enc := s.collapsed[i].Encode()
-		h.Write(enc[:])
-	}
-	if s.cxlSplit != nil {
-		h.Write([]byte{1})
-		for i := range s.cxlSplit {
-			enc := s.cxlSplit[i].Encode()
-			h.Write(enc[:])
-			if s.splitDirty[i] {
-				h.Write([]byte{1})
-			} else {
-				h.Write([]byte{0})
-			}
-		}
-	} else {
-		h.Write([]byte{0})
-	}
+	h.Write(s.leaves)
 	writeInts := func(vs []int) {
 		binary.LittleEndian.PutUint64(tmp[:], uint64(len(vs)))
 		h.Write(tmp[:])
@@ -584,4 +688,13 @@ func (s *System) StateDigest() [32]byte {
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
+}
+
+// StateDigestFromScratch marks every leaf stale and returns StateDigest:
+// the same value, computed from the stored bytes instead of the leaf
+// cache. Oracles use it, so that a mutation the dirty tracking missed
+// shows up as a digest mismatch rather than hiding on both sides.
+func (s *System) StateDigestFromScratch() [32]byte {
+	s.markAllStale()
+	return s.StateDigest()
 }

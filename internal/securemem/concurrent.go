@@ -295,6 +295,13 @@ func (c *Concurrent) StateDigest() [32]byte {
 	return c.sys.StateDigest()
 }
 
+// StateDigestFromScratch is a goroutine-safe
+// System.StateDigestFromScratch, quiescing like StateDigest.
+func (c *Concurrent) StateDigestFromScratch() [32]byte {
+	defer c.unlockRange(c.lockAll())
+	return c.sys.StateDigestFromScratch()
+}
+
 // Unwrap returns the underlying System for single-threaded phases. The
 // caller must guarantee no concurrent use while holding it.
 //

@@ -182,6 +182,7 @@ func (s *System) directWriteSector(homeAddr HomeAddr, in []byte) error {
 		sp.Major = major
 		sp.Minors = [counters.IFMinors]uint16{}
 		s.splitDirty[chunk] = true
+		s.markDirty(homeAddr.Page(s.geo.PageSize))
 	}
 	old := *sp
 	if sp.Inc(sic) {
@@ -309,6 +310,7 @@ func (s *System) CheckpointChunk(addr HomeAddr) error {
 		}
 	}
 	s.splitDirty[chunk] = false
+	s.markDirty(chunk / s.geo.ChunksPerPage())
 	bump(&s.chunkState(chunk).bmtUpdates)
 	if err := s.splitTree.Update(chunk, sp.Encode()); err != nil {
 		return err

@@ -6,7 +6,10 @@ import "github.com/salus-sim/salus/internal/security/counters"
 // access to the untrusted memories: they mutate stored state directly,
 // bypassing the trusted access path, so tests and examples can demonstrate
 // that the protection models detect snooping-resistance, spoofing,
-// splicing, and replay.
+// splicing, and replay. Each hook that changes home-tier state marks the
+// digest leaves of the pages it touched stale, so the tamper moves
+// StateDigest, but it is no checkpoint delta: the journal never carries
+// it.
 
 // RawHomeBytes returns a copy of the stored home-tier bytes at addr
 // (ciphertext under the secure models). An attacker snooping the bus sees
@@ -29,6 +32,7 @@ func (s *System) CorruptHome(addr HomeAddr) bool {
 		return false
 	}
 	s.cxlData[addr] ^= 0x01
+	s.markStale(addr.Page(s.geo.PageSize))
 	return true
 }
 
@@ -56,6 +60,7 @@ func (s *System) SpliceHome(dst, src HomeAddr) {
 		return
 	}
 	copy(s.cxlData[d:d+ss], s.cxlData[c:c+ss])
+	s.markStale(HomeAddr(d).Page(s.geo.PageSize))
 }
 
 // SpliceDevice overwrites the device-tier bytes backing dst's sector with
@@ -131,6 +136,7 @@ func (s *System) ReplayHomeChunk(snap ChunkSnapshot) {
 	cs := s.geo.ChunkSize
 	chunk := snap.homeChunk
 	copy(s.cxlData[chunk*cs:(chunk+1)*cs], snap.data)
+	s.markStale(chunk / s.geo.ChunksPerPage())
 	switch s.cfg.Model {
 	case ModelSalus:
 		for b, m := range snap.macs {

@@ -108,6 +108,7 @@ func (s *System) ReKey(newAESKey, newMACKey []byte) error {
 	}
 	bumpN(&s.stats.OverflowReEncryptions, uint64(nSectors))
 	bump(&s.stats.KeyRotations)
+	s.markAllStale() // every page was re-encrypted under the new keys
 	return s.rebuildHomeTrees()
 }
 

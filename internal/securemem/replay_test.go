@@ -46,7 +46,7 @@ func recordJournal(t *testing.T, seed int64) recordedJournal {
 		if err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
-		delta := fs.inner.Tail(framed)
+		delta := fs.inner.Bytes()[framed:]
 		framed += len(delta)
 		rec.deltas = append(rec.deltas, delta)
 		rec.roots = append(rec.roots, root)

@@ -56,9 +56,23 @@ func (s *System) salusHomeMajor(homeChunk int) (uint32, error) {
 // salusSetHomeMajor updates the collapsed major of a home chunk and the
 // CXL tree.
 func (s *System) salusSetHomeMajor(homeChunk int, major uint32) error {
-	s.markCkptDirty(homeChunk * s.geo.ChunkSize / s.geo.PageSize)
+	s.storeHomeMajor(homeChunk, major)
+	return s.salusHomeTreeUpdate(homeChunk)
+}
+
+// storeHomeMajor records the collapsed major of a home chunk. Every
+// counter change funnels through here, making it (with storeHomeMAC) the
+// chokepoint for checkpoint dirty-page and digest-leaf tracking. The
+// CXL tree leaf is left to the caller's salusHomeTreeUpdate.
+func (s *System) storeHomeMajor(homeChunk int, major uint32) {
+	s.markDirty(homeChunk * s.geo.ChunkSize / s.geo.PageSize)
+	s.collapsed[homeChunk/counters.CollapsedMajors].Majors[homeChunk%counters.CollapsedMajors] = major
+}
+
+// salusHomeTreeUpdate refreshes the CXL tree leaf (collapsed sector)
+// covering a home chunk.
+func (s *System) salusHomeTreeUpdate(homeChunk int) error {
 	si := homeChunk / counters.CollapsedMajors
-	s.collapsed[si].Majors[homeChunk%counters.CollapsedMajors] = major
 	bump(&s.chunkState(homeChunk).bmtUpdates)
 	return s.cxlTree.Update(si, s.collapsed[si].Encode())
 }

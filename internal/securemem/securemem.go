@@ -22,6 +22,7 @@
 package securemem
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -273,6 +274,16 @@ type System struct {
 	epoch     uint64
 	ckptDirty []bool
 
+	// State-digest leaves (ModelSalus, see checkpoint.go): 32 bytes per
+	// home page, the SHA-256 of the page's journal record, valid unless
+	// the page's digestStale entry is set. leafSplit is the record
+	// layout the leaves were hashed under; leafRefreshes counts leaf
+	// hashes, so tests can pin how many a digest redid.
+	leaves        []byte
+	digestStale   []bool
+	leafSplit     bool
+	leafRefreshes uint64
+
 	stats OpStats
 }
 
@@ -365,6 +376,11 @@ func newBare(cfg Config) (*System, error) {
 		s.devGroups = make([]counters.IFGroup, cfg.DevicePages*g.ChunksPerPage())
 		s.buildDevTrees()
 		s.cxlTree.SetTrustCache(trustCacheEntries)
+		// Every leaf starts stale: the home tier is about to be
+		// encrypted (New) or replayed (Replayer).
+		s.leaves = make([]byte, cfg.TotalPages*sha256.Size)
+		s.digestStale = make([]bool, cfg.TotalPages)
+		s.markAllStale()
 	case ModelConventional:
 		homeSectors := cfg.TotalPages * g.SectorsPerPage()
 		devSectors := cfg.DevicePages * g.SectorsPerPage()
@@ -451,12 +467,12 @@ func (s *System) homeCounterPair(addr HomeAddr) (major, minor uint64) {
 }
 
 // storeHomeMAC records the MAC of a home-tier sector. Every home data or
-// MAC mutation funnels through here, making it (with salusSetHomeMajor)
-// the chokepoint for checkpoint dirty-page tracking.
+// MAC mutation funnels through here, making it (with storeHomeMajor)
+// the chokepoint for checkpoint dirty-page and digest-leaf tracking.
 func (s *System) storeHomeMAC(addr HomeAddr, mac uint64) error {
 	switch s.cfg.Model {
 	case ModelSalus:
-		s.markCkptDirty(addr.Page(s.geo.PageSize))
+		s.markDirty(addr.Page(s.geo.PageSize))
 		block := int(addr) / s.geo.BlockSize
 		secInBlock := (int(addr) % s.geo.BlockSize) / s.geo.SectorSize
 		return s.macSectors[block].SetMAC(secInBlock, mac)

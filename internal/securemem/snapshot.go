@@ -217,10 +217,11 @@ func Resume(cfg Config, image []byte, root TrustedRoot) (*System, error) {
 	s.epoch = root.Epoch
 	// The image restored pages the deterministic initial encryption knows
 	// nothing about; any journal the caller checkpoints to next must carry
-	// them all.
+	// them all, and every digest leaf describes the replaced state.
 	for i := range s.ckptDirty {
 		s.ckptDirty[i] = true
 	}
+	s.markAllStale()
 	return s, nil
 }
 

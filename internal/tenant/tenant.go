@@ -301,6 +301,17 @@ func (t *Tenant) StateDigest() [32]byte {
 	return t.eng.StateDigest()
 }
 
+// StateDigestFromScratch is StateDigest recomputed from the stored bytes
+// rather than the engine's leaf cache: the form every oracle compares.
+func (t *Tenant) StateDigestFromScratch() [32]byte {
+	t.state.RLock()
+	defer t.state.RUnlock()
+	if t.eng == nil {
+		return [32]byte{}
+	}
+	return t.eng.StateDigestFromScratch()
+}
+
 // Engine returns the tenant's engine (nil once destroyed). The engine
 // speaks slice-local addresses and bypasses the tenant's containment
 // and quota gates, so it must only front trusted surfaces — a
